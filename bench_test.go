@@ -15,6 +15,7 @@ import (
 	"repro/internal/index"
 	"repro/internal/patdist"
 	"repro/internal/pattern"
+	"repro/internal/relation"
 	"repro/internal/rewrite"
 	"repro/internal/seq"
 	"repro/internal/stock"
@@ -212,7 +213,7 @@ func BenchmarkF6JoinStrategies(b *testing.B) {
 
 // benchQueryEngine loads a dictionary relation into a query engine with
 // unit and weighted rule sets registered.
-func benchQueryEngine(b *testing.B, n int) *QueryEngine {
+func benchQueryEngine(b *testing.B, n int, opts ...EngineOption) *QueryEngine {
 	b.Helper()
 	rel := NewRelation("dict")
 	for _, e := range benchDictionary(7, n) {
@@ -220,10 +221,20 @@ func benchQueryEngine(b *testing.B, n int) *QueryEngine {
 	}
 	cat := NewCatalog()
 	cat.Add(rel)
-	eng := NewQueryEngine(cat)
+	eng := NewQueryEngine(cat, opts...)
 	if err := eng.RegisterRuleSet(UnitEdits("abcdefghij")); err != nil {
 		b.Fatal(err)
 	}
+	if err := eng.RegisterRuleSet(benchHalfRules()); err != nil {
+		b.Fatal(err)
+	}
+	return eng
+}
+
+// benchHalfRules is unit edits at cost 0.5 over the bench alphabet:
+// edit-like but not unit-cost, so the metric indexes and the
+// partitioned join are off the table.
+func benchHalfRules() *RuleSet {
 	alpha := []byte("abcdefghij")
 	var rules []Rule
 	for _, c := range alpha {
@@ -234,14 +245,43 @@ func benchQueryEngine(b *testing.B, n int) *QueryEngine {
 			}
 		}
 	}
-	if err := eng.RegisterRuleSet(MustRuleSet("half", rules)); err != nil {
-		b.Fatal(err)
-	}
-	return eng
+	return MustRuleSet("half", rules)
 }
 
-// BenchmarkQ1SerialVsParallelScan — the Volcano pipeline's Parallel
-// operator against the serial plan on a scan-heavy weighted range
+// benchCalc builds the DP evaluator for a rule set, failing the
+// benchmark on error.
+func benchCalc(b *testing.B, rs *RuleSet) *EditCalculator {
+	b.Helper()
+	c, err := NewEditCalculator(rs)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return c
+}
+
+// benchTuples returns the rows of one of the engine's relations in id
+// order.
+func benchTuples(b *testing.B, eng *QueryEngine, name string) []relation.Tuple {
+	b.Helper()
+	tab, ok := eng.Catalog().Lookup(name)
+	if !ok {
+		b.Fatalf("no relation %q", name)
+	}
+	return tab.Tuples()
+}
+
+// benchRowCount executes a statement and returns its result size.
+func benchRowCount(b *testing.B, eng *QueryEngine, stmt string) int {
+	b.Helper()
+	res, err := eng.Execute(stmt)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return len(res.Rows)
+}
+
+// BenchmarkQ1SerialVsParallelScan — the pipeline's Parallel operator
+// against the serial plan on a scan-heavy weighted range
 // query.
 func BenchmarkQ1SerialVsParallelScan(b *testing.B) {
 	const stmt = `SELECT seq, dist FROM dict WHERE seq SIMILAR TO "abcdefgh" WITHIN 2 USING half`
@@ -265,15 +305,11 @@ func BenchmarkQ1SerialVsParallelScan(b *testing.B) {
 	})
 }
 
-// BenchmarkQ2JoinOperators — nested-loop join (weighted rule set)
-// against the BK-tree index join (unit rule set) through the full
-// query pipeline.
-// BenchmarkQ2JoinOperators measures each physical join operator on its
-// own plan, pinned via EXPLAIN so a planner change fails loudly. The
-// weighted edge forces the nested loop in either mode; the unit
-// radius-1 edge runs the BK-tree index join in row mode and the
-// length-banded partition join in batch mode (where partition
-// undercuts the index on cost).
+// BenchmarkQ2JoinOperators measures the physical join operators the
+// planner picks through the full query pipeline, each plan pinned via
+// EXPLAIN so a planner change fails loudly: the weighted edge forces
+// the nested loop; the unit radius-1 edge runs the length-banded
+// partition join (which undercuts the BK-tree index join on cost).
 func BenchmarkQ2JoinOperators(b *testing.B) {
 	eng := benchQueryEngine(b, 600)
 	eng.SetParallelism(1)
@@ -298,11 +334,6 @@ func BenchmarkQ2JoinOperators(b *testing.B) {
 		run(b, `SELECT a.id, b.id FROM dict a, dict b WHERE a.seq SIMILAR TO b.seq WITHIN 0.5 USING half AND a.id != b.id`,
 			"NestedLoopJoin(")
 	})
-	b.Run("index-join", func(b *testing.B) {
-		eng.SetBatchSize(0)
-		defer eng.SetBatchSize(256)
-		run(b, unitJoin, "IndexJoin(")
-	})
 	b.Run("partitioned", func(b *testing.B) {
 		run(b, unitJoin, "PartitionJoin(")
 	})
@@ -311,25 +342,58 @@ func BenchmarkQ2JoinOperators(b *testing.B) {
 // joinGateStmt is the committed workload behind the CI-gated
 // JoinPartitioned/JoinNestedLoop ratio. The radius is deliberately
 // non-integral: the BK-tree index join requires an integral radius
-// (tree levels are integer distances), so the row engine must run the
-// nested loop, while the length-banded partition join only floors the
-// radius (unit-cost distances are integral, so d <= 1.5 iff d <= 1)
-// and stays eligible in the batch engine. Same statement, same result,
-// two physical algorithms.
+// (tree levels are integer distances), so it cannot undercut the
+// length-banded partition join, which only floors the radius
+// (unit-cost distances are integral, so d <= 1.5 iff d <= 1).
 const joinGateStmt = `SELECT a.id, b.id FROM dict a, dict b ON dist(a.seq, b.seq) <= 1.5 USING unit-edits WHERE a.id != b.id`
 
-// runJoinGate drives joinGateStmt through one engine after pinning the
-// plan shape the gate assumes — a silent planner change must fail the
-// benchmark, not quietly re-label the ratio.
-func runJoinGate(b *testing.B, eng *QueryEngine, wantOp string) {
-	b.Helper()
+// BenchmarkJoinNestedLoop — the reference side of the partitioned-join
+// CI gate: a plain double loop over the same 600 rows that checks every
+// ordered pair with x.ID != y.ID through the DP calculator's Within —
+// the per-pair check a nested-loop join makes — and must find exactly
+// the engine's pairs.
+func BenchmarkJoinNestedLoop(b *testing.B) {
+	eng := benchQueryEngine(b, 600)
+	calc := benchCalc(b, UnitEdits("abcdefghij"))
+	tuples := benchTuples(b, eng, "dict")
+	pairs := func() int {
+		n := 0
+		for _, x := range tuples {
+			for _, y := range tuples {
+				if x.ID == y.ID {
+					continue
+				}
+				if _, ok := calc.Within(x.Seq, y.Seq, 1.5); ok {
+					n++
+				}
+			}
+		}
+		return n
+	}
+	if got, want := pairs(), benchRowCount(b, eng, joinGateStmt); got != want {
+		b.Fatalf("reference loop found %d pairs, the engine %d", got, want)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchSink = pairs()
+	}
+}
+
+// BenchmarkJoinPartitioned — the same workload on the engine's
+// length-banded partition join, its plan shape pinned via EXPLAIN so a
+// silent planner change fails the benchmark instead of re-labeling the
+// ratio. BENCH_baseline.json gates the ratio to JoinNestedLoop with a
+// hard (zero-tolerance) ceiling of 0.5: the partitioned join must stay
+// at least 2x faster than checking every pair, on any runner.
+func BenchmarkJoinPartitioned(b *testing.B) {
+	eng := benchQueryEngine(b, 600)
 	eng.SetParallelism(1)
 	res, err := eng.Execute("EXPLAIN " + joinGateStmt)
 	if err != nil {
 		b.Fatal(err)
 	}
-	if plan := res.Rows[0][0]; !strings.Contains(plan, wantOp) {
-		b.Fatalf("join gate expects %s in the plan:\n%s", wantOp, plan)
+	if plan := res.Rows[0][0]; !strings.Contains(plan, "PartitionJoin(") {
+		b.Fatalf("join gate expects PartitionJoin( in the plan:\n%s", plan)
 	}
 	if _, err := eng.Execute(joinGateStmt); err != nil { // warm the plan cache
 		b.Fatal(err)
@@ -342,35 +406,26 @@ func runJoinGate(b *testing.B, eng *QueryEngine, wantOp string) {
 	}
 }
 
-// BenchmarkJoinNestedLoop — the reference side of the partitioned-join
-// CI gate: the row engine's nested loop on the committed join workload.
-func BenchmarkJoinNestedLoop(b *testing.B) {
-	eng := benchQueryEngine(b, 600)
-	eng.SetBatchSize(0)
-	runJoinGate(b, eng, "NestedLoopJoin(")
-}
-
-// BenchmarkJoinPartitioned — the same workload on the batch engine's
-// length-banded partition join. BENCH_baseline.json gates the ratio to
-// JoinNestedLoop with a hard (zero-tolerance) ceiling of 0.5: the
-// partitioned batch join must stay at least 2x faster than the
-// row-at-a-time nested loop, on any runner.
-func BenchmarkJoinPartitioned(b *testing.B) {
-	eng := benchQueryEngine(b, 600)
-	runJoinGate(b, eng, "PartitionJoin(")
-}
-
 // mixedWorkload is the committed scan/filter-heavy statement mix the
-// vectorized-vs-row CI gate runs: a weighted range scan (banded-DP
+// VectorizedMixed CI gate runs: a weighted range scan (banded-DP
 // verification per tuple), a residual-filter scan over the same
 // predicate, and a pure equality-filter scan — the exact per-tuple
 // loops batch execution exists to accelerate. All three plan as
 // Scan -> Filter (the "half" rule set is edit-like but not unit-cost,
-// so the metric indexes are off the table).
+// so the metric indexes are off the table). mixedChecks are the same
+// three predicates as plain per-tuple checks.
 var mixedWorkload = []string{
 	`SELECT seq, dist FROM dict WHERE seq SIMILAR TO "abcdefg" WITHIN 0.5 USING half`,
 	`SELECT seq, dist FROM dict WHERE seq SIMILAR TO "bacdefg" WITHIN 1 USING half AND seq != "bacdefg"`,
 	`SELECT id FROM dict WHERE seq = "abcdefgzz"`,
+}
+
+func mixedChecks(half *EditCalculator) []func(string) bool {
+	return []func(string) bool{
+		func(s string) bool { _, ok := half.Within(s, "abcdefg", 0.5); return ok },
+		func(s string) bool { _, ok := half.Within(s, "bacdefg", 1); return ok && s != "bacdefg" },
+		func(s string) bool { return s == "abcdefgzz" },
+	}
 }
 
 // runMixed drives the committed mixed workload through one engine.
@@ -390,19 +445,40 @@ func runMixed(b *testing.B, eng *QueryEngine) {
 	}
 }
 
-// BenchmarkRowMixed — the mixed workload on the row-at-a-time pipeline.
-// Reference side of the CI-gated VectorizedMixed ratio.
+// BenchmarkRowMixed — the reference side of the CI-gated
+// VectorizedMixed ratio: a plain loop over the relation's tuples that
+// checks the mixed workload's predicates one tuple at a time with the
+// DP calculator's Within — the check a row-at-a-time filter makes per
+// row — and must count exactly the engine's result rows.
 func BenchmarkRowMixed(b *testing.B) {
 	eng := benchQueryEngine(b, 20000)
-	eng.SetBatchSize(0)
-	runMixed(b, eng)
+	checks := mixedChecks(benchCalc(b, benchHalfRules()))
+	tuples := benchTuples(b, eng, "dict")
+	count := func(check func(string) bool) int {
+		n := 0
+		for _, t := range tuples {
+			if check(t.Seq) {
+				n++
+			}
+		}
+		return n
+	}
+	for i, stmt := range mixedWorkload {
+		if got, want := count(checks[i]), benchRowCount(b, eng, stmt); got != want {
+			b.Fatalf("%s: reference loop counted %d rows, the engine %d", stmt, got, want)
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchSink = count(checks[i%len(checks)])
+	}
 }
 
-// BenchmarkVectorizedMixed — the same workload on the batch pipeline at
-// the default block size. BENCH_baseline.json gates its ratio to
-// RowMixed with a hard (zero-tolerance) ceiling of 1/1.3: the
-// vectorized path must stay at least 1.3x faster than row-at-a-time on
-// scan/filter-heavy work, on any runner.
+// BenchmarkVectorizedMixed — the same workload on the engine at the
+// default block size. BENCH_baseline.json gates its ratio to RowMixed
+// with a hard (zero-tolerance) ceiling of 1/1.3: the batch pipeline must
+// stay at least 1.3x faster than checking the tuples one at a time, on
+// any runner.
 func BenchmarkVectorizedMixed(b *testing.B) {
 	eng := benchQueryEngine(b, 20000)
 	runMixed(b, eng)
@@ -433,9 +509,7 @@ func BenchmarkTracingOnMixed(b *testing.B) {
 func BenchmarkVectorizedMixedBatchSize(b *testing.B) {
 	for _, size := range []int{1, 64, 256, 1024} {
 		b.Run(fmt.Sprintf("batch=%d", size), func(b *testing.B) {
-			eng := benchQueryEngine(b, 20000)
-			eng.SetBatchSize(size)
-			runMixed(b, eng)
+			runMixed(b, benchQueryEngine(b, 20000, WithBatchSize(size)))
 		})
 	}
 }
@@ -463,29 +537,6 @@ func BenchmarkServingColdParsePlan(b *testing.B) {
 func BenchmarkServingCacheHit(b *testing.B) {
 	const stmt = `SELECT seq FROM dict WHERE seq SIMILAR TO "abcdefgh" WITHIN 1 USING unit-edits LIMIT 1`
 	eng := benchQueryEngine(b, 20000)
-	if _, err := eng.Execute(stmt); err != nil { // warm the cache
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := eng.Execute(stmt)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !res.Stats.PlanCacheHit {
-			b.Fatal("execution missed the plan cache")
-		}
-	}
-}
-
-// BenchmarkServingCacheHitRow — the cache-hit serving latency with the
-// vectorized path disabled. Gated like ServingCacheHit (which runs the
-// default, vectorized engine), so a regression in either execution
-// mode fails the bench job.
-func BenchmarkServingCacheHitRow(b *testing.B) {
-	const stmt = `SELECT seq FROM dict WHERE seq SIMILAR TO "abcdefgh" WITHIN 1 USING unit-edits LIMIT 1`
-	eng := benchQueryEngine(b, 20000)
-	eng.SetBatchSize(0)
 	if _, err := eng.Execute(stmt); err != nil { // warm the cache
 		b.Fatal(err)
 	}

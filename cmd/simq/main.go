@@ -13,7 +13,9 @@
 // a-z) is registered. The REPL accepts one statement per line plus the
 // meta commands \tables, \rules and \quit. Statements may use N-way
 // FROM lists, ORDER BY dist [ASC|DESC] and LIMIT; EXPLAIN prints the
-// physical operator tree the cost-based planner chose.
+// physical operator tree the cost-based planner chose, rooted at
+// Vectorize(batch=N) — every plan runs the one batch pipeline, in
+// blocks of 256 rows (fewer under a LIMIT).
 package main
 
 import (
@@ -39,7 +41,6 @@ func main() {
 	var ruleFiles loadList
 	flag.Var(&ruleFiles, "rules", "rule file to register (repeatable)")
 	stmt := flag.String("e", "", "execute one statement and exit")
-	batchSize := flag.Int("batch-size", 256, "vectorized execution block size (0 = row-at-a-time pipeline)")
 	flag.Parse()
 
 	cat := relation.NewCatalog()
@@ -63,7 +64,6 @@ func main() {
 	}
 
 	eng := query.NewEngine(cat)
-	eng.SetBatchSize(*batchSize)
 	if len(ruleFiles) == 0 {
 		rs := rewrite.MustRuleSet("edits", rewrite.UnitEdits("abcdefghijklmnopqrstuvwxyz").Rules())
 		if err := eng.RegisterRuleSet(rs); err != nil {

@@ -10,6 +10,9 @@
 //	simqd -addr :8077 -load words=words.rel [-rules edits.rules]
 //	      [-wal data.wal] [-wal-sync=false] [-timeout 10s] [-shards 4]
 //
+// Every plan runs the engine's one execution pipeline, batch-at-a-time
+// in blocks of 256 rows; /stats reports the block size as batch_size.
+//
 // With -shards N every loaded relation is hash-partitioned across N
 // MVCC shards: queries scatter per-shard subplans across workers and
 // gather-merge the results, DML routes rows by hash, and with -wal each
@@ -109,7 +112,6 @@ func main() {
 	ckptInterval := flag.Duration("checkpoint-interval", 0, "write a snapshot checkpoint (and truncate the WAL) this often; 0 disables the timer")
 	ckptWALMB := flag.Int("checkpoint-wal-mb", 0, "checkpoint when the WAL grows past this many MiB (checked every 15s); 0 disables the size trigger")
 	shards := flag.Int("shards", 1, "hash-partition each loaded relation across N shards (scatter-gather execution)")
-	batchSize := flag.Int("batch-size", 256, "vectorized execution block size (0 = row-at-a-time pipeline)")
 	myersKernel := flag.Bool("myers-kernel", true, "serve unit-cost distances from the bit-parallel (Myers) kernel (false = scalar DP; identical results)")
 	pprofOn := flag.Bool("pprof", false, "serve net/http/pprof under /debug/pprof/")
 	slowQueryMS := flag.Int("slow-query-ms", 0, "log a structured JSON line (with the span tree) for queries slower than this; 0 disables. Enables engine tracing.")
@@ -129,7 +131,6 @@ func main() {
 	if *parallelism > 0 {
 		eng.SetParallelism(*parallelism)
 	}
-	eng.SetBatchSize(*batchSize)
 	var st *storage.Store
 	if *walPath != "" {
 		if *shards > 1 {

@@ -1,16 +1,16 @@
 package query
 
-// The EXPLAIN ANALYZE oracle: for every plan shape (row, batch, sharded
-// row, sharded batch), `EXPLAIN ANALYZE <stmt>` must execute the
-// statement and return byte-identical columns and rows to the plain
-// statement — tracing is an observer, never a participant — while the
-// span tree it renders must carry an estimate on every access path, a
-// kernel label on every distance-computing operator, and per-shard
-// timings on every scatter-gather. A second oracle pins Result.Stats
-// parity between the row and vectorized pipelines: the work counters
-// are part of the engine's observable contract, so the batch engine
-// must report the same candidate/verification/abandon totals as the
-// row engine for the same physical decision.
+// The EXPLAIN ANALYZE oracle: for every plan shape (unsharded and
+// sharded, small and default block sizes, every join algorithm),
+// `EXPLAIN ANALYZE <stmt>` must execute the statement and return
+// byte-identical columns and rows to the plain statement — tracing is
+// an observer, never a participant — while the span tree it renders
+// must carry an estimate on every access path, a kernel label on every
+// distance-computing operator, and per-shard timings on every
+// scatter-gather. A second oracle pins Result.Stats parity across
+// block sizes: the work counters are part of the engine's observable
+// contract, so the same physical decision must report the same
+// candidate/verification/abandon totals at every block size.
 
 import (
 	"strings"
@@ -22,8 +22,7 @@ import (
 )
 
 // analyzeEngine builds the testEngine word database over a plain or
-// sharded relation, with the requested vectorized block size (0 = pure
-// row-at-a-time).
+// sharded relation, with the requested block size.
 func analyzeEngine(t *testing.T, shards, batchSize int) *Engine {
 	t.Helper()
 	var tab relation.Table
@@ -43,7 +42,7 @@ func analyzeEngine(t *testing.T, shards, batchSize int) *Engine {
 	}
 	cat := relation.NewCatalog()
 	cat.Add(tab)
-	e := NewEngine(cat)
+	e := NewEngine(cat, WithBatchSize(batchSize))
 	if err := e.RegisterRuleSet(rewrite.UnitEdits("abcdefghijklmnopqrstuvwxyz")); err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +53,6 @@ func analyzeEngine(t *testing.T, shards, batchSize int) *Engine {
 	if err := e.RegisterRuleSet(weighted); err != nil {
 		t.Fatal(err)
 	}
-	e.SetBatchSize(batchSize)
 	return e
 }
 
@@ -71,16 +69,12 @@ var analyzeStmts = []struct {
 	{`SELECT seq, dist FROM words WHERE seq NEAREST 3 TO "color" USING unit-edits`, true},
 	{`SELECT seq, dist FROM words WHERE seq NEAREST 2 TO "color" USING cheap_vowels`, true},
 	{`SELECT * FROM words LIMIT 3`, false},
-	// The weighted nested-loop join is the one join shape both pipelines
-	// execute identically (no batch operator exists for weighted rule
-	// sets), so it is safe for the row-vs-batch stats parity oracle too.
+	// The weighted rule set forces the nested-loop join.
 	{`SELECT a.seq, b.seq FROM words a, words b ON dist(a.seq, b.seq) <= 0.3 USING cheap_vowels AND a.id != b.id`, true},
 }
 
-// analyzeJoinStmts are the join shapes whose physical algorithm depends
-// on the execution mode (index in row plans, partition in batch plans),
-// so their work counters legitimately differ between pipelines; the
-// ANALYZE oracle still pins result identity and span shape for each.
+// analyzeJoinStmts are the unit-cost join shapes every join algorithm
+// can execute; TestAnalyzeJoinOracle drives each through all three.
 var analyzeJoinStmts = []struct {
 	stmt      string
 	hasKernel bool
@@ -103,13 +97,13 @@ func flattenSpans(s *obs.Span) []*obs.Span {
 
 // checkAnalyzeOracle runs one statement plainly and under EXPLAIN
 // ANALYZE and pins result identity plus trace shape.
-func checkAnalyzeOracle(t *testing.T, e *Engine, stmt string, hasKernel bool, shards int) {
+func checkAnalyzeOracle(t *testing.T, exec func(string) (*Result, error), stmt string, hasKernel bool, shards int) {
 	t.Helper()
-	plain, err := e.Execute(stmt)
+	plain, err := exec(stmt)
 	if err != nil {
 		t.Fatalf("%q: %v", stmt, err)
 	}
-	an, err := e.Execute("EXPLAIN ANALYZE " + stmt)
+	an, err := exec("EXPLAIN ANALYZE " + stmt)
 	if err != nil {
 		t.Fatalf("EXPLAIN ANALYZE %q: %v", stmt, err)
 	}
@@ -190,71 +184,77 @@ func checkAnalyzeOracle(t *testing.T, e *Engine, stmt string, hasKernel bool, sh
 	}
 }
 
+// TestAnalyzeOracleRow runs the oracle at one-row blocks, the smallest
+// block size.
 func TestAnalyzeOracleRow(t *testing.T) {
-	e := analyzeEngine(t, 1, 0)
+	e := analyzeEngine(t, 1, 1)
 	for _, c := range analyzeStmts {
-		checkAnalyzeOracle(t, e, c.stmt, c.hasKernel, 1)
+		checkAnalyzeOracle(t, e.Execute, c.stmt, c.hasKernel, 1)
 	}
 }
 
 func TestAnalyzeOracleBatch(t *testing.T) {
 	e := analyzeEngine(t, 1, 4)
 	for _, c := range analyzeStmts {
-		checkAnalyzeOracle(t, e, c.stmt, c.hasKernel, 1)
+		checkAnalyzeOracle(t, e.Execute, c.stmt, c.hasKernel, 1)
 	}
 }
 
 func TestAnalyzeOracleSharded(t *testing.T) {
-	e := analyzeEngine(t, 3, 0)
+	e := analyzeEngine(t, 3, defaultBatchSize)
 	for _, c := range analyzeStmts {
-		checkAnalyzeOracle(t, e, c.stmt, c.hasKernel, 3)
+		checkAnalyzeOracle(t, e.Execute, c.stmt, c.hasKernel, 3)
 	}
 }
 
 func TestAnalyzeOracleShardedBatch(t *testing.T) {
 	e := analyzeEngine(t, 3, 4)
 	for _, c := range analyzeStmts {
-		checkAnalyzeOracle(t, e, c.stmt, c.hasKernel, 3)
+		checkAnalyzeOracle(t, e.Execute, c.stmt, c.hasKernel, 3)
 	}
 }
 
-// TestAnalyzeJoinOracle drives the mode-dependent join shapes through
-// every plan family: the row engine's index-nested-loop, the batch
-// engine's partition join, and the sharded broadcast variant of each
-// must all satisfy the ANALYZE contract (result identity, estimates on
-// leaves, kernel labels, per-shard gather timings).
+// TestAnalyzeJoinOracle drives the unit-cost join shapes through every
+// join algorithm (nested loop, index, partition), unsharded and as the
+// sharded broadcast variant, at two block sizes: each must satisfy the
+// ANALYZE contract (result identity, estimates on leaves, kernel
+// labels, per-shard gather timings).
 func TestAnalyzeJoinOracle(t *testing.T) {
 	for _, shards := range []int{1, 3} {
-		for _, batch := range []int{0, 4} {
+		for _, batch := range []int{4, defaultBatchSize} {
 			e := analyzeEngine(t, shards, batch)
-			for _, c := range analyzeJoinStmts {
-				checkAnalyzeOracle(t, e, c.stmt, c.hasKernel, shards)
+			for _, algo := range []string{"nl", "index", "partition"} {
+				exec := func(stmt string) (*Result, error) { return runPinned(e, stmt, algo) }
+				for _, c := range analyzeJoinStmts {
+					checkAnalyzeOracle(t, exec, c.stmt, c.hasKernel, shards)
+				}
 			}
 		}
 	}
 }
 
 // TestAnalyzeStatsParityRowVsBatch pins Result.Stats consistency across
-// the row and vectorized pipelines at the same shard topology: the same
-// physical decision must report the same work counters.
+// block sizes — one-row blocks against the default — at the same shard
+// topology: the same physical decision must report the same work
+// counters.
 func TestAnalyzeStatsParityRowVsBatch(t *testing.T) {
 	for _, shards := range []int{1, 3} {
-		row := analyzeEngine(t, shards, 0)
-		batch := analyzeEngine(t, shards, 4)
+		small := analyzeEngine(t, shards, 1)
+		large := analyzeEngine(t, shards, defaultBatchSize)
 		for _, c := range analyzeStmts {
-			r, err := row.Execute(c.stmt)
+			s, err := small.Execute(c.stmt)
 			if err != nil {
 				t.Fatalf("shards=%d %q: %v", shards, c.stmt, err)
 			}
-			b, err := batch.Execute(c.stmt)
+			l, err := large.Execute(c.stmt)
 			if err != nil {
 				t.Fatalf("shards=%d %q: %v", shards, c.stmt, err)
 			}
-			if r.Stats.Candidates != b.Stats.Candidates ||
-				r.Stats.Verifications != b.Stats.Verifications ||
-				r.Stats.Abandoned != b.Stats.Abandoned {
-				t.Errorf("shards=%d %q: stats diverge:\nrow:   %+v\nbatch: %+v",
-					shards, c.stmt, r.Stats, b.Stats)
+			if s.Stats.Candidates != l.Stats.Candidates ||
+				s.Stats.Verifications != l.Stats.Verifications ||
+				s.Stats.Abandoned != l.Stats.Abandoned {
+				t.Errorf("shards=%d %q: stats diverge:\nbatch=1:   %+v\nbatch=%d: %+v",
+					shards, c.stmt, s.Stats, defaultBatchSize, l.Stats)
 			}
 		}
 	}
@@ -264,7 +264,7 @@ func TestAnalyzeStatsParityRowVsBatch(t *testing.T) {
 // only while the flag is on, and a traced plain execution keeps the
 // static plan rendering (only ANALYZE swaps in the actuals).
 func TestAnalyzeTracingToggle(t *testing.T) {
-	e := analyzeEngine(t, 1, 0)
+	e := analyzeEngine(t, 1, defaultBatchSize)
 	const stmt = `SELECT * FROM words WHERE seq SIMILAR TO "color" WITHIN 1 USING unit-edits`
 
 	res, err := e.Execute(stmt)
@@ -304,7 +304,7 @@ func TestAnalyzeTracingToggle(t *testing.T) {
 // executes its statement, so analyzed DML would commit as a side effect
 // of asking for a plan — it must be rejected up front.
 func TestAnalyzeDMLRejected(t *testing.T) {
-	e := analyzeEngine(t, 1, 0)
+	e := analyzeEngine(t, 1, defaultBatchSize)
 	for _, stmt := range []string{
 		`EXPLAIN ANALYZE INSERT INTO words (seq, lang) VALUES ("x", "en")`,
 		`EXPLAIN ANALYZE DELETE FROM words WHERE lang = "en"`,

@@ -1,15 +1,17 @@
 package query
 
-// The batch-at-a-time physical operators: block-granular twins of the
-// row operators in operators.go. Each one carries the same EXPLAIN
-// label and produces the same rows in the same order as its row twin —
-// the batch/row parity oracle pins that equivalence — while paying its
-// per-row costs once per block.
+// The physical operators of the execution pipeline. Each one pulls
+// blocks from its children, does one job, and counts its own work,
+// paying its per-row costs once per block; the planner in plan.go
+// composes them into trees. Results are byte-identical at every block
+// size, and identical to the reference evaluator's — the reference
+// oracle pins that.
 
 import (
 	"fmt"
 	"math"
 	"sort"
+	"strings"
 	"sync"
 
 	"repro/internal/index"
@@ -17,11 +19,18 @@ import (
 	"repro/internal/relation"
 )
 
+// infCut bounds finite distances: +Inf means unreachable.
+const infCut = 1e300
+
 // ---------------------------------------------------------------- scan
 
 // batchScanOp streams the visible tuples of one snapshot shard a block
 // at a time through relation.Cursor.NextBlock, which amortizes the
-// visibility filtering across whole arena runs.
+// visibility filtering across whole arena runs. Shard (i, n) covers a
+// contiguous arena range, so concatenating shards 0..n-1 reproduces the
+// serial scan order — the invariant parallel plans rely on. Reading
+// through the snapshot gives every query a consistent view while
+// concurrent commits land.
 type batchScanOp struct {
 	ctx           *execCtx
 	snap          *relation.Snapshot
@@ -81,10 +90,15 @@ func (o *batchScanOp) childNodes() []any { return nil }
 
 // --------------------------------------------------------- index range
 
-// batchIndexRangeOp streams index matches in blocks through the metric
-// indexes' BatchIterator, applying the snapshot visibility filter per
-// block. Emission order is the iterator's deterministic traversal
-// order — identical to the row operator's.
+// batchIndexRangeOp streams matches of "seq SIMILAR TO lit WITHIN k"
+// from a metric index (BK-tree or trie, chosen by the cost model) in
+// blocks through the indexes' BatchIterator. The iterator is lazy, so a
+// LIMIT above this operator stops the index traversal early instead of
+// post-filtering a full result. The online-maintained index is a
+// superset of the snapshot, so every match passes through the
+// snapshot's visibility filter: tombstoned rows and post-snapshot
+// inserts are skipped. Emission order is the iterator's deterministic
+// traversal order.
 type batchIndexRangeOp struct {
 	ctx     *execCtx
 	snap    *relation.Snapshot
@@ -184,10 +198,11 @@ func (it *iterBatcher) NextBatch(dst []index.Match) int {
 
 // ----------------------------------------------------------- nearest-k
 
-// batchNearestKOp answers NEAREST k with the best list maintained over
-// whole blocks: the scan variant pulls tuple blocks and folds each one
-// into the bounded best list, the bktree variant reuses the metric
-// tree's best-first walk with the buffer-reusing Into form.
+// batchNearestKOp answers "seq NEAREST k TO lit". The bktree variant
+// walks the metric tree best-first (the buffer-reusing Into form); the
+// scan variant pulls tuple blocks and keeps a bounded best list sorted
+// by (dist, id), verifying each tuple with the banded DP cut off at the
+// current kth-best distance, so most tuples abort their DP early.
 type batchNearestKOp struct {
 	ctx     *execCtx
 	snap    *relation.Snapshot
@@ -297,8 +312,8 @@ func (o *batchNearestKOp) childNodes() []any { return nil }
 // batchFilterOp keeps the rows satisfying a residual predicate,
 // compacting each block in place. Single-alias predicates run through
 // the compiled evaluator (batch_pred.go); binding-layout blocks and
-// uncompilable shapes fall back to the row evaluator on a scratch
-// binding — same semantics, fewer hoisted costs.
+// uncompilable shapes fall back to evalExpr on a scratch binding —
+// same semantics, fewer hoisted costs.
 type batchFilterOp struct {
 	ctx   *execCtx
 	child BatchOperator
@@ -306,6 +321,7 @@ type batchFilterOp struct {
 	alias string
 
 	fn      predFn
+	tuple   relation.Tuple // the compiled evaluator's view of the current row
 	scratch binding
 	local   ExecStats
 	last    ExecStats // retained across Close for span attribution
@@ -346,8 +362,11 @@ func (o *batchFilterOp) NextBatch() (*Batch, error) {
 			o.local.Verifications++
 			var ok bool
 			if o.fn != nil {
-				t := relation.Tuple{ID: b.IDs[i], Seq: b.Seqs[i], Vec: b.Vecs[i], Attrs: b.Attrs[i]}
-				ok, err = o.fn(&t, &b.dist[i], &b.has[i])
+				// One operator-owned tuple, reloaded per row: a fresh local
+				// would escape through the predFn call and cost a heap
+				// allocation per row.
+				o.tuple = relation.Tuple{ID: b.IDs[i], Seq: b.Seqs[i], Vec: b.Vecs[i], Attrs: b.Attrs[i]}
+				ok, err = o.fn(&o.tuple, &b.dist[i], &b.has[i])
 			} else {
 				b.scratch(i, o.alias, &o.scratch)
 				ok, err = o.ctx.eng.evalExpr(o.pred, &o.scratch)
@@ -427,14 +446,23 @@ func (o *batchProjectOp) NextBatch() (*Batch, error) {
 func (o *batchProjectOp) CloseBatch() error { return o.child.CloseBatch() }
 
 func (o *batchProjectOp) Describe() string {
-	return (&projectOp{q: o.q}).Describe()
+	if len(o.q.Select) == 0 {
+		return "Project(*)"
+	}
+	parts := make([]string, len(o.q.Select))
+	for i, c := range o.q.Select {
+		parts[i] = c.String()
+	}
+	return fmt.Sprintf("Project(%s)", strings.Join(parts, ", "))
 }
 
 func (o *batchProjectOp) childNodes() []any { return []any{o.child} }
 
 // --------------------------------------------------------------- limit
 
-// batchLimitOp truncates the stream after n rows.
+// batchLimitOp truncates the stream after n rows. Because the pipeline
+// is pull-based, everything below it — index iterators included — stops
+// working the moment the limit is reached.
 type batchLimitOp struct {
 	child BatchOperator
 	n     int
@@ -465,8 +493,9 @@ func (o *batchLimitOp) childNodes() []any { return []any{o.child} }
 // ------------------------------------------------------- order by dist
 
 // batchOrderByDistOp is the blocking sort: it drains the child into
-// column buffers of its own, stably sorts a row permutation by the same
-// key as the row operator, and re-emits blocks in sorted order.
+// column buffers of its own, stably sorts a row permutation by distance
+// and re-emits blocks in sorted order. Rows without a distance sort
+// last; ties keep the child's deterministic order.
 type batchOrderByDistOp struct {
 	child BatchOperator
 	desc  bool
@@ -590,11 +619,15 @@ func (o *batchOrderByDistOp) childNodes() []any { return []any{o.child} }
 
 // ------------------------------------------------------------ parallel
 
-// batchParallelOp shards a batch pipeline across workers, exactly like
-// parallelOp: build(i, n) returns the pipeline restricted to shard i of
-// n, shard outputs are materialised concurrently (copied — a leaf
-// refills its batch every pull) and re-emitted in shard order, which
-// reproduces the serial plan's output byte for byte.
+// batchParallelOp shards a pipeline across workers: build(i, n) returns
+// the pipeline restricted to shard i of n, shard outputs are
+// materialised concurrently (copied — a leaf refills its batch every
+// pull) and re-emitted in shard order. Shards are contiguous tuple
+// ranges and each shard pipeline is deterministic, so the merge
+// reproduces the serial plan's output byte for byte. Similarity work
+// (the DP verifications) dominates the buffering by orders of
+// magnitude, so materialising trades negligible memory for full
+// parallelism.
 type batchParallelOp struct {
 	ctx      *execCtx
 	workers  int

@@ -1,14 +1,10 @@
 package query
 
-// Batch plan construction. The planner's decide phase owns the
-// `vectorize` choice (recorded in planDecision and therefore in
-// plan-cache and prepared-decision keys); this file is the build half:
-// given a vectorized decision it assembles the BatchOperator tree that
-// mirrors the row plan shape node for node. Join chains build through
-// buildBatchJoin (join_batch.go): partition steps run natively batched,
-// nl/index steps run as row operators bridged by the adapters in
-// batch.go, with the once-per-query start scan always reading through a
-// batch cursor.
+// Plan construction for unsharded single-relation queries, plus the
+// pieces every build shares: the leaf block size, the decorator stack
+// above the access path, the Parallel wrapper and the EXPLAIN root.
+// Join chains build in join_batch.go, sharded scatter-gather plans in
+// batch_shard.go.
 
 import (
 	"fmt"
@@ -17,32 +13,26 @@ import (
 )
 
 // batchLeafSize resolves the block size for a plan's leaf operators:
-// the engine's configured batch size, capped by a LIMIT-without-ORDER
+// the engine's configured block size, capped by a LIMIT-without-ORDER
 // so the pull-based limit pushdown keeps working at block granularity —
 // a LIMIT 3 plan must not drag a 256-row block through the pipeline per
-// pull. The cap is what bounds a vectorized plan's overshoot to at most
-// one block beyond the row plan's candidate count.
+// pull. The cap bounds a plan's overshoot to at most one block beyond
+// the rows the limit needs.
 func (e *Engine) batchLeafSize(q *Query) int {
-	size := e.batchConfig()
-	if size <= 0 {
-		// Defensive: a vectorized decision is only made while batching is
-		// enabled, and changing the knob starts a fresh cache-key space.
-		size = defaultBatchSize
-	}
+	size := e.batchSize
 	if q.Limit > 0 && q.Order == OrderNone && q.Limit < size {
 		size = q.Limit
 	}
 	return size
 }
 
-// buildBatchTree constructs the vectorized operator tree for a decided
-// unsharded query; the structure mirrors buildPlan's row build exactly.
-func (e *Engine) buildBatchTree(q *Query, d *planDecision, rels []*relation.Relation, snapOf func(*relation.Relation) *relation.Snapshot, ctx *execCtx, cp *compiledPlan) (*compiledPlan, error) {
+// buildSingle constructs the operator tree for a decided unsharded
+// single-relation query over one snapshot. Range access re-extracts its
+// conjunct deterministically, so the same conjunct the decision was made
+// for is found again.
+func (e *Engine) buildSingle(q *Query, d *planDecision, snap *relation.Snapshot, st relation.Stats, ctx *execCtx, cp *compiledPlan) (*compiledPlan, error) {
 	alias := q.From[0].Alias
-	size := e.batchLeafSize(q)
-	cp.batchSize = size
-	cp.kernel = d.kernel
-	st := rels[0].Stats()
+	size := cp.batchSize
 
 	var access BatchOperator
 	switch d.kind {
@@ -50,12 +40,12 @@ func (e *Engine) buildBatchTree(q *Query, d *planDecision, rels []*relation.Rela
 		ne := q.Where.(NearestExpr)
 		if isVecNearest(&ne) {
 			access = trB(ctx, &batchVecNearestKOp{
-				ctx: ctx, snap: snapOf(rels[0]), alias: alias,
+				ctx: ctx, snap: snap, alias: alias,
 				via: d.via, target: ne.Target.Vec, k: ne.K, metricName: ne.RuleSet, size: size,
 			}, estNearestRows(st.VecCount, ne.K), d.kernel)
 		} else {
 			access = trB(ctx, &batchNearestKOp{
-				ctx: ctx, snap: snapOf(rels[0]), alias: alias,
+				ctx: ctx, snap: snap, alias: alias,
 				via: d.via, target: ne.Target.Lit, k: ne.K, ruleSet: ne.RuleSet, size: size,
 			}, estNearestRows(st.Count, ne.K), d.kernel)
 		}
@@ -66,7 +56,7 @@ func (e *Engine) buildBatchTree(q *Query, d *planDecision, rels []*relation.Rela
 				return nil, fmt.Errorf("query: stale plan: no vector range conjunct")
 			}
 			var op BatchOperator = trB(ctx, &batchVecRangeOp{
-				ctx: ctx, snap: snapOf(rels[0]), alias: alias,
+				ctx: ctx, snap: snap, alias: alias,
 				target: sim.Target.Vec, radius: sim.Radius, metricName: sim.RuleSet, size: size,
 			}, estVecRangeRows(st, sim.Radius), d.kernel)
 			if res := simplifyExpr(residual); !isTrivial(res) {
@@ -81,7 +71,7 @@ func (e *Engine) buildBatchTree(q *Query, d *planDecision, rels []*relation.Rela
 			return nil, fmt.Errorf("query: stale plan: no indexable conjunct")
 		}
 		var op BatchOperator = trB(ctx, &batchIndexRangeOp{
-			ctx: ctx, snap: snapOf(rels[0]), alias: alias, via: d.via,
+			ctx: ctx, snap: snap, alias: alias, via: d.via,
 			target: sim.Target.Lit, radius: int(sim.Radius), ruleSet: sim.RuleSet, size: size,
 		}, estRangeRows(st, sim.Radius), d.kernel)
 		if res := simplifyExpr(residual); !isTrivial(res) {
@@ -90,7 +80,6 @@ func (e *Engine) buildBatchTree(q *Query, d *planDecision, rels []*relation.Rela
 		}
 		access = op
 	case accessScan:
-		snap := snapOf(rels[0])
 		pred := simplifyExpr(q.Where)
 		build := func(shard, shards int) BatchOperator {
 			sc := newBatchScanOp(ctx, snap, alias, size)
@@ -103,12 +92,6 @@ func (e *Engine) buildBatchTree(q *Query, d *planDecision, rels []*relation.Rela
 			return op
 		}
 		access = wrapBatchParallel(ctx, d, build)
-	case accessJoin:
-		var err error
-		access, err = e.buildBatchJoin(ctx, q, rels, snapOf, d, size)
-		if err != nil {
-			return nil, err
-		}
 	default:
 		return nil, fmt.Errorf("query: unknown access kind %d", d.kind)
 	}
@@ -118,8 +101,7 @@ func (e *Engine) buildBatchTree(q *Query, d *planDecision, rels []*relation.Rela
 }
 
 // wrapBatchTop applies the shared decorator stack — OrderByDist,
-// Project, Limit — above a batch access path, in the same order as the
-// row build.
+// Project, Limit — above an access path.
 func (e *Engine) wrapBatchTop(q *Query, access BatchOperator, alias string, size int, ctx *execCtx) BatchOperator {
 	top := access
 	if q.Order == OrderDesc {
@@ -157,10 +139,10 @@ func wrapBatchParallel(ctx *execCtx, d *planDecision, build func(shard, shards i
 	return build(0, 1)
 }
 
-// vectorizeNode is the EXPLAIN pseudo-root of a vectorized plan: it
-// surfaces the planner's vectorize decision, the leaf block size and —
-// when the plan has an edit-distance conjunct — which distance kernel
-// serves it (bit-parallel Myers vs the weighted TargetDP).
+// vectorizeNode is the EXPLAIN pseudo-root of every plan: it surfaces
+// the leaf block size and — when the plan has a distance conjunct —
+// which distance kernel serves it (bit-parallel Myers vs the weighted
+// TargetDP, or a vector metric's block kernel).
 type vectorizeNode struct {
 	child  any
 	size   int

@@ -1,20 +1,22 @@
 package query
 
-// Predicate compilation for the batch filter. The row pipeline walks
-// the Expr tree per candidate (evalExpr), paying an interface
-// type-switch per node, a rule-set registry lookup (an RWMutex
-// acquisition) per similarity conjunct and an alias resolution per
-// field — per row. The batch filter compiles a single-alias predicate
-// once per pipeline into a closure chain with all of that hoisted:
-// calculators, general engines and compiled patterns are resolved at
-// compile time, field references become direct tuple accessors, and
-// the per-row work collapses to the distance computation itself.
+// Predicate compilation for the batch filter. Walking the Expr tree
+// per candidate (evalExpr) pays an interface type-switch per node, a
+// rule-set registry lookup (an RWMutex acquisition) per similarity
+// conjunct and an alias resolution per field — per row. The batch
+// filter compiles a single-alias predicate once per pipeline into a
+// closure chain with all of that hoisted: calculators, general engines
+// and compiled patterns are resolved at compile time, field references
+// become direct tuple accessors, and the per-row work collapses to the
+// distance computation itself.
 //
-// Semantics are pinned to evalExpr: evaluation order, short-circuiting
-// (including unsurfaced errors in unevaluated branches), the
-// first-matching-similarity-sets-dist rule and every error message are
-// identical, so the two evaluators are interchangeable row for row —
-// the batch/row parity oracle runs both.
+// Semantics are pinned to evalExpr, which still evaluates join
+// bindings and the shapes compilePred leaves uncovered: evaluation
+// order, short-circuiting (including unsurfaced errors in unevaluated
+// branches), the first-matching-similarity-sets-dist rule and every
+// error message are identical, so the two evaluators are
+// interchangeable row for row — the reference oracle and a direct
+// compilePred-vs-evalExpr check pin that.
 
 import (
 	"fmt"
@@ -351,7 +353,7 @@ func compileOperand(o Operand, alias string) valFn {
 
 // compileField mirrors fieldValue over a single-alias row: dist reads
 // the running distance state, any other name resolves on the tuple, and
-// a foreign alias fails exactly like the row pipeline's lookup.
+// a foreign alias fails exactly like fieldValue's lookup.
 func compileField(f FieldRef, alias string) valFn {
 	if f.Name == "dist" {
 		return func(_ *relation.Tuple, dist *float64, has *bool) (string, error) {

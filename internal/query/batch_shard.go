@@ -1,11 +1,22 @@
 package query
 
-// Vectorized scatter-gather over sharded relations: the batch twin of
-// shard_operators.go. Shard subplans are batch pipelines drained by the
-// same bounded worker pool into per-shard column buffers; the merges
-// (id-ordered for scans and ranges, rank-aware (dist, id) bounded for
-// NEAREST) are identical to the row gather's, so a vectorized sharded
-// plan emits byte-identical rows in byte-identical order.
+// Scatter-gather execution over sharded relations. The planner turns a
+// single-relation query over a ShardedRelation into one batch subplan
+// per shard — each reading one shard snapshot of a consistent
+// ShardView — plus a GatherMerge root that drains the subplans through
+// a bounded worker pool into per-shard column buffers and merges them:
+//
+//   - merge=id (WITHIN / scans / join chains): shard streams are merged
+//     in ascending global tuple id, which reconstructs exactly the
+//     serial scan order of the unsharded relation (ids are global and
+//     each arena is id-ascending).
+//   - merge=bestk (NEAREST): each shard produces its own k-best list
+//     sorted by (dist, id); the gather is a rank-aware bounded merge
+//     that repeatedly takes the smallest (dist, id) frontier entry and
+//     terminates after k results — once the global k-th best is fixed,
+//     no shard's remaining (worse) entries are ever examined. The
+//     (dist, id) order makes equal-distance ties deterministic by row
+//     key no matter which shard finished first.
 
 import (
 	"fmt"
@@ -18,16 +29,60 @@ import (
 	"repro/internal/relation"
 )
 
-// buildShardedBatchTree constructs the vectorized scatter-gather
-// operator tree for a decided single-relation query over a sharded
-// relation; the structure (per-shard filters, per-shard pushed limits,
-// gather mode) mirrors buildShardedPlan exactly.
-func (e *Engine) buildShardedBatchTree(q *Query, d *planDecision, view *relation.ShardView, st relation.Stats, ctx *execCtx, cp *compiledPlan) (*compiledPlan, error) {
+// gatherMode selects the merge discipline of a batchGatherMergeOp.
+type gatherMode int
+
+const (
+	gatherByID  gatherMode = iota // ascending global tuple id (scan order)
+	gatherBestK                   // rank-aware (dist, id) bounded merge
+)
+
+// buildShardedPlan constructs the scatter-gather operator tree for a
+// decided single-relation query over a sharded relation.
+func (e *Engine) buildShardedPlan(q *Query, d *planDecision, tab relation.Table, ctx *execCtx, cp *compiledPlan) (*compiledPlan, error) {
+	sh, ok := tab.(*relation.ShardedRelation)
+	if !ok {
+		return nil, fmt.Errorf("query: stale plan: relation %q is no longer sharded", q.From[0].Name)
+	}
+	if sh.NumShards() != d.shards {
+		return nil, fmt.Errorf("query: stale plan: relation %q has %d shards, plan wants %d",
+			q.From[0].Name, sh.NumShards(), d.shards)
+	}
+	// Ensure the shared per-shard index structures ahead of the view
+	// capture, so every shard snapshot carries its online-maintained
+	// index instead of building a private one per query.
+	switch d.kind {
+	case accessRange:
+		switch d.via {
+		case "trie":
+			sh.EnsureTries()
+		case "vptree":
+			if m := vecRangeMetric(q.Where); m != nil {
+				sh.EnsureVPTrees(m)
+			}
+		default:
+			sh.EnsureBKTrees()
+		}
+	case accessNearest:
+		switch d.via {
+		case "bktree":
+			sh.EnsureBKTrees()
+		case "vptree":
+			if ne, ok := q.Where.(NearestExpr); ok {
+				if m, ok := metric.Lookup(ne.RuleSet); ok {
+					sh.EnsureVPTrees(m)
+				}
+			}
+		}
+	}
+	view := sh.View()
 	n := view.NumShards()
 	alias := q.From[0].Alias
-	size := e.batchLeafSize(q)
-	cp.batchSize = size
-	cp.kernel = d.kernel
+	size := cp.batchSize
+	// Planner estimates below are per shard: the leaf cardinalities of an
+	// even hash partition, so EXPLAIN ANALYZE compares each shard subplan
+	// against what the optimizer assumed for one shard, not the union.
+	st := shardStats(sh.Stats(), n)
 
 	children := make([]BatchOperator, n)
 	var access BatchOperator
@@ -58,7 +113,7 @@ func (e *Engine) buildShardedBatchTree(q *Query, d *planDecision, view *relation
 			}
 		}
 		access = trB(ctx, &batchGatherMergeOp{ctx: ctx, children: children, workers: d.workers,
-			mode: gatherBestK, k: ne.K, size: size}, gatherEst, "")
+			alias: alias, mode: gatherBestK, k: ne.K, size: size}, gatherEst, "")
 	case accessRange:
 		if d.via == "vptree" {
 			sim, residual := extractVecRangeSim(q.Where)
@@ -71,17 +126,10 @@ func (e *Engine) buildShardedBatchTree(q *Query, d *planDecision, view *relation
 					ctx: ctx, snap: view.Snap(i), alias: alias,
 					target: sim.Target.Vec, radius: sim.Radius, metricName: sim.RuleSet, size: size,
 				}, estVecRangeRows(st, sim.Radius), d.kernel)
-				if !isTrivial(pred) {
-					op = trB(ctx, &batchFilterOp{ctx: ctx, child: op, pred: pred, alias: alias},
-						estFilterRows(st, pred, estOfBatch(op)), e.filterKernel(pred))
-				}
-				if q.Limit > 0 && q.Order == OrderNone {
-					op = trB(ctx, &batchLimitOp{child: op, n: q.Limit}, estLimitRows(q.Limit, estOfBatch(op)), "")
-				}
-				children[i] = op
+				children[i] = e.shardResidual(ctx, q, op, pred, alias, st)
 			}
 			access = trB(ctx, &batchGatherMergeOp{ctx: ctx, children: children, workers: d.workers,
-				mode: gatherByID, size: size}, -1, "")
+				alias: alias, mode: gatherByID, size: size}, -1, "")
 			break
 		}
 		sim, residual := extractRangeSim(q.Where, e.rangeIndexable)
@@ -94,42 +142,42 @@ func (e *Engine) buildShardedBatchTree(q *Query, d *planDecision, view *relation
 				ctx: ctx, snap: view.Snap(i), alias: alias, via: d.via,
 				target: sim.Target.Lit, radius: int(sim.Radius), ruleSet: sim.RuleSet, size: size,
 			}, estRangeRows(st, sim.Radius), d.kernel)
-			if !isTrivial(pred) {
-				op = trB(ctx, &batchFilterOp{ctx: ctx, child: op, pred: pred, alias: alias},
-					estFilterRows(st, pred, estOfBatch(op)), e.filterKernel(pred))
-			}
-			if q.Limit > 0 && q.Order == OrderNone {
-				// Same per-shard pushdown as the row gather: each shard needs
-				// at most LIMIT matches, so the index traversal stops early.
-				op = trB(ctx, &batchLimitOp{child: op, n: q.Limit}, estLimitRows(q.Limit, estOfBatch(op)), "")
-			}
-			children[i] = op
+			children[i] = e.shardResidual(ctx, q, op, pred, alias, st)
 		}
 		access = trB(ctx, &batchGatherMergeOp{ctx: ctx, children: children, workers: d.workers,
-			mode: gatherByID, size: size}, -1, "")
+			alias: alias, mode: gatherByID, size: size}, -1, "")
 	case accessScan:
 		pred := simplifyExpr(q.Where)
 		for i := range children {
 			sc := newBatchScanOp(ctx, view.Snap(i), alias, size)
-			var op BatchOperator = trB(ctx, &batchShardScanOp{batchScanOp: *sc, idx: i, of: n},
-				float64(st.Count), "")
-			if !isTrivial(pred) {
-				op = trB(ctx, &batchFilterOp{ctx: ctx, child: op, pred: pred, alias: alias},
-					estFilterRows(st, pred, estOfBatch(op)), e.filterKernel(pred))
-			}
-			if q.Limit > 0 && q.Order == OrderNone {
-				op = trB(ctx, &batchLimitOp{child: op, n: q.Limit}, estLimitRows(q.Limit, estOfBatch(op)), "")
-			}
-			children[i] = op
+			op := trB(ctx, &batchShardScanOp{batchScanOp: *sc, idx: i, of: n}, float64(st.Count), "")
+			children[i] = e.shardResidual(ctx, q, op, pred, alias, st)
 		}
 		access = trB(ctx, &batchGatherMergeOp{ctx: ctx, children: children, workers: d.workers,
-			mode: gatherByID, size: size}, -1, "")
+			alias: alias, mode: gatherByID, size: size}, -1, "")
 	default:
 		return nil, fmt.Errorf("query: access kind %d has no sharded build", d.kind)
 	}
 
 	cp.broot = e.wrapBatchTop(q, access, alias, size, ctx)
 	return cp, nil
+}
+
+// shardResidual tops one shard subplan with the residual filter and,
+// for LIMIT without ORDER BY, a pushed-down per-shard limit: the query
+// returns an arbitrary valid subset (already true of the unsharded lazy
+// index scan), and the first LIMIT rows of the id-merged union draw at
+// most LIMIT rows from any one shard, so the limit stops each shard's
+// scan or index traversal early instead of draining it.
+func (e *Engine) shardResidual(ctx *execCtx, q *Query, op BatchOperator, pred Expr, alias string, st relation.Stats) BatchOperator {
+	if !isTrivial(pred) {
+		op = trB(ctx, &batchFilterOp{ctx: ctx, child: op, pred: pred, alias: alias},
+			estFilterRows(st, pred, estOfBatch(op)), e.filterKernel(pred))
+	}
+	if q.Limit > 0 && q.Order == OrderNone {
+		op = trB(ctx, &batchLimitOp{child: op, n: q.Limit}, estLimitRows(q.Limit, estOfBatch(op)), "")
+	}
+	return op
 }
 
 // ----------------------------------------------------------- shard scan
@@ -160,7 +208,10 @@ func (o *batchShardNearestKOp) Describe() string {
 
 // --------------------------------------------------------- gather merge
 
-// shardCols is one shard's drained output in column form.
+// shardCols is one shard's drained output in column form. A join
+// chain's bindings-layout output keeps its bindings in binds, with ids
+// holding each binding's merge key (the tuple id bound under the
+// gather's alias).
 type shardCols struct {
 	ids   []int
 	seqs  []string
@@ -168,10 +219,19 @@ type shardCols struct {
 	attrs []map[string]string
 	dist  []float64
 	has   []bool
+	binds []*binding
 	perm  []int // merge order over the columns (id-sorted for gatherByID)
 }
 
-func (c *shardCols) appendBatch(b *Batch) {
+func (c *shardCols) appendBatch(b *Batch, alias string) {
+	if b.binds != nil {
+		for _, rb := range b.binds {
+			t, _ := rb.tupleFor(alias)
+			c.ids = append(c.ids, t.ID)
+		}
+		c.binds = append(c.binds, b.binds...)
+		return
+	}
 	c.ids = append(c.ids, b.IDs...)
 	c.seqs = append(c.seqs, b.Seqs...)
 	c.vecs = append(c.vecs, b.Vecs...)
@@ -181,22 +241,23 @@ func (c *shardCols) appendBatch(b *Batch) {
 }
 
 // batchGatherMergeOp drains one batch subplan per shard through a
-// bounded worker pool and merges the column buffers. Shard subplans of
-// a sharded single-relation query are always columnar, so the merge
-// never sees a bindings-layout batch — sharded JOIN chains carry
-// multi-alias bindings and therefore gather through the row
-// gatherMergeOp instead (see buildShardedJoin).
+// bounded worker pool and merges the buffers. Shard subplans of a
+// single-relation query are columnar; sharded join chains emit
+// multi-alias bindings, merged by the tuple id bound under alias (the
+// outer relation's).
 type batchGatherMergeOp struct {
 	ctx      *execCtx
 	children []BatchOperator
 	workers  int
+	alias    string // merge-key alias of bindings-layout shard streams
 	mode     gatherMode
 	k        int // gatherBestK: result bound
 	size     int
 
 	cols    []shardCols
-	pos     []int // per-shard frontier position into perm
-	done    int   // rows emitted (gatherBestK stops at k)
+	binds   []*binding // bindings-layout output buffer, reused across pulls
+	pos     []int      // per-shard frontier position into perm
+	done    int        // rows emitted (gatherBestK stops at k)
 	out     *Batch
 	timings []obs.ShardTiming // per-shard drain wall time (traced runs only)
 }
@@ -252,7 +313,7 @@ func (o *batchGatherMergeOp) OpenBatch() error {
 			if b == nil {
 				break
 			}
-			o.cols[i].appendBatch(b)
+			o.cols[i].appendBatch(b, o.alias)
 		}
 		if err := op.CloseBatch(); err != nil && errs[i] == nil {
 			errs[i] = err
@@ -302,9 +363,11 @@ func (o *batchGatherMergeOp) OpenBatch() error {
 		}
 		if o.mode == gatherByID {
 			// Scan streams arrive id-sorted already; index-range streams
-			// arrive in traversal order, so sort the merge permutation (ids
-			// are unique — no tie to break).
-			sort.Slice(c.perm, func(a, b int) bool { return c.ids[c.perm[a]] < c.ids[c.perm[b]] })
+			// arrive in traversal order, so sort the merge permutation. The
+			// sort is stable: a join chain emits the same outer id once per
+			// inner match, already in ascending-inner order. Across shards
+			// ids never tie — outer rows partition across shards.
+			sort.SliceStable(c.perm, func(a, b int) bool { return c.ids[c.perm[a]] < c.ids[c.perm[b]] })
 		}
 		// gatherBestK frontiers consume each shard's k-best list in its
 		// native (dist, id)-ascending order.
@@ -318,7 +381,8 @@ func (o *batchGatherMergeOp) NextBatch() (*Batch, error) {
 	}
 	b := o.out
 	b.reset()
-	for b.Len() < o.size {
+	binds := o.binds[:0]
+	for n := 0; n < o.size; n++ {
 		if o.mode == gatherBestK && o.done >= o.k {
 			break
 		}
@@ -350,10 +414,18 @@ func (o *batchGatherMergeOp) NextBatch() (*Batch, error) {
 		c := &o.cols[best]
 		j := c.perm[o.pos[best]]
 		o.pos[best]++
+		o.done++
+		if c.binds != nil {
+			binds = append(binds, c.binds[j])
+			continue
+		}
 		b.Block.Append(c.ids[j], c.seqs[j], c.vecs[j], c.attrs[j])
 		b.dist = append(b.dist, c.dist[j])
 		b.has = append(b.has, c.has[j])
-		o.done++
+	}
+	o.binds = binds
+	if len(binds) > 0 {
+		b.binds = binds
 	}
 	if b.Len() == 0 {
 		return nil, nil
@@ -377,7 +449,7 @@ func (o *batchGatherMergeOp) Describe() string {
 }
 
 // childNodes returns the shard-0 subplan as the representative subtree
-// (all shards share the same shape, like the row gather's template).
+// (all shards share the same shape, like Parallel's template).
 func (o *batchGatherMergeOp) childNodes() []any {
 	if len(o.children) == 0 {
 		return nil

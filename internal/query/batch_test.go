@@ -1,15 +1,17 @@
 package query
 
 import (
+	"fmt"
 	"strings"
 	"testing"
+
+	"repro/internal/relation"
 )
 
 // TestVectorizeDecisionInExplain pins the EXPLAIN surface of the
-// vectorize decision: batched plans carry the Vectorize pseudo-root
-// with the leaf block size, row plans do not, unit-cost joins render
-// the native partition join, and weighted joins render both adapters
-// around their row chain.
+// pipeline: every plan carries the Vectorize pseudo-root with the leaf
+// block size, unit-cost joins render the partition join and weighted
+// joins the nested loop, each a native batch operator.
 func TestVectorizeDecisionInExplain(t *testing.T) {
 	e := bigEngine(t)
 	res, err := e.Execute(`EXPLAIN SELECT * FROM dict LIMIT 3`)
@@ -30,8 +32,7 @@ func TestVectorizeDecisionInExplain(t *testing.T) {
 		t.Fatalf("vectorized plan lacks the default-size Vectorize root with the kernel:\n%s", res.Plan)
 	}
 
-	// A unit-cost join vectorizes natively: the length-partitioned batch
-	// join, no adapters.
+	// A unit-cost join runs the length-partitioned join.
 	res, err = e.Execute(`EXPLAIN SELECT a.seq FROM dna a, dna b WHERE a.seq SIMILAR TO b.seq WITHIN 1 USING unit-edits`)
 	if err != nil {
 		t.Fatal(err)
@@ -42,104 +43,32 @@ func TestVectorizeDecisionInExplain(t *testing.T) {
 		}
 	}
 
-	// A weighted join has no batch operator: the row chain runs behind
-	// both adapters.
+	// A weighted join has no length band: the nested loop.
 	res, err = e.Execute(`EXPLAIN SELECT a.seq FROM dna a, dna b WHERE a.seq SIMILAR TO b.seq WITHIN 1 USING half`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, frag := range []string{"Vectorize(", "RowToBatch(", "BatchToRow", "NestedLoopJoin("} {
+	for _, frag := range []string{"Vectorize(", "NestedLoopJoin(on "} {
 		if !strings.Contains(res.Plan, frag) {
-			t.Fatalf("vectorized weighted join plan lacks %q:\n%s", frag, res.Plan)
+			t.Fatalf("weighted join plan lacks %q:\n%s", frag, res.Plan)
 		}
 	}
 
-	e.SetBatchSize(0)
-	res, err = e.Execute(`EXPLAIN SELECT * FROM dict LIMIT 3`)
+	small := NewEngine(e.Catalog(), WithBatchSize(0))
+	res, err = small.Execute(`EXPLAIN SELECT * FROM dict`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if strings.Contains(res.Plan, "Vectorize(") || strings.Contains(res.Plan, "Batch") {
-		t.Fatalf("row plan leaked batch operators:\n%s", res.Plan)
+	if !strings.HasPrefix(res.Plan, "Vectorize(batch=1)") {
+		t.Fatalf("WithBatchSize(0) did not clamp to one-row blocks:\n%s", res.Plan)
 	}
 }
 
-// TestSetBatchSizeInvalidatesPlanCache pins that flipping the
-// execution mode starts a fresh plan-cache key space: a plan built for
-// one mode is never served to the other.
-func TestSetBatchSizeInvalidatesPlanCache(t *testing.T) {
-	e := bigEngine(t)
-	const stmt = `SELECT seq FROM dict WHERE seq SIMILAR TO "abcdef" WITHIN 1 USING unit-edits`
-	if _, err := e.Execute(stmt); err != nil {
-		t.Fatal(err)
-	}
-	res, err := e.Execute(stmt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Stats.PlanCacheHit {
-		t.Fatal("second execution should hit the plan cache")
-	}
-	if !strings.Contains(res.Plan, "Vectorize(") {
-		t.Fatalf("cached plan is not vectorized:\n%s", res.Plan)
-	}
-
-	e.SetBatchSize(0)
-	res, err = e.Execute(stmt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.PlanCacheHit {
-		t.Fatal("plan cache served a vectorized plan after batching was disabled")
-	}
-	if strings.Contains(res.Plan, "Vectorize(") {
-		t.Fatalf("row-mode execution ran a vectorized plan:\n%s", res.Plan)
-	}
-
-	e.SetBatchSize(64)
-	res, err = e.Execute(stmt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.PlanCacheHit {
-		t.Fatal("plan cache served a row plan after batching was re-enabled")
-	}
-	if !strings.Contains(res.Plan, "Vectorize(batch=64,") {
-		t.Fatalf("re-enabled batching did not adopt the new size:\n%s", res.Plan)
-	}
-}
-
-// TestBatchPreparedRedecidesOnBatchSizeChange pins the prepared-
-// statement analogue: the memoised decision keys on the batch size, so
-// flipping the knob forces exactly one re-plan.
-func TestBatchPreparedRedecidesOnBatchSizeChange(t *testing.T) {
-	e := bigEngine(t)
-	pq, err := e.Prepare(`SELECT seq FROM dict WHERE seq SIMILAR TO ? WITHIN ? USING unit-edits`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := pq.Execute("abcdef", 1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := pq.Execute("abcdeg", 1); err != nil {
-		t.Fatal(err)
-	}
-	if st := pq.Stats(); st.Plans != 1 || st.PlanReuses != 1 {
-		t.Fatalf("warm prepared stats = %+v, want 1 plan + 1 reuse", st)
-	}
-	e.SetBatchSize(0)
-	if _, err := pq.Execute("abcdef", 1); err != nil {
-		t.Fatal(err)
-	}
-	if st := pq.Stats(); st.Plans != 2 {
-		t.Fatalf("stats after SetBatchSize(0) = %+v, want a re-plan", st)
-	}
-}
-
-// TestBatchLimitPushdownCandidates is the vectorized LIMIT-pushdown
+// TestBatchLimitPushdownCandidates is the block-level LIMIT-pushdown
 // regression test: the leaf block size is capped by a LIMIT without
 // ORDER BY, so a LIMIT 1 plan must touch far fewer candidates than the
-// full query — the batch analogue of TestLimitPushdownIndexCandidates.
+// full query — the scan and index analogue of
+// TestLimitPushdownIndexCandidates.
 func TestBatchLimitPushdownCandidates(t *testing.T) {
 	e := bigEngine(t)
 	full, err := e.Execute(`SELECT seq FROM dict`)
@@ -191,17 +120,63 @@ func TestBatchSyncColsDivergedCapacities(t *testing.T) {
 	}
 }
 
-// TestBatchDMLReadPlan pins that DELETE/UPDATE read phases run through
-// the vectorized plan (the id column feeds collectIDsBatch) and affect
-// the same rows as the row engine — covered broadly by the oracle, but
-// this is the minimal deterministic repro.
+// TestBatchDMLReadPlan pins that DELETE/UPDATE read phases (the id
+// column feeds collectIDs) affect the same rows as the reference —
+// covered broadly by the oracle, but this is the minimal deterministic
+// repro.
 func TestBatchDMLReadPlan(t *testing.T) {
-	p := newBatchPair(t, 1, 16)
-	p.exec(t, `INSERT INTO words (seq, tag) VALUES ("abc", "1"), ("abd", "1"), ("xyz", "2"), ("abe", "2")`)
-	res := p.exec(t, `DELETE FROM words WHERE seq SIMILAR TO "abc" WITHIN 1 USING edits`)
+	h := newRefHarness(t, 1, blockSizes(16)...)
+	h.exec(t, `INSERT INTO words (seq, tag) VALUES ("abc", "1"), ("abd", "1"), ("hij", "2"), ("abe", "2")`)
+	res := h.exec(t, `DELETE FROM words WHERE seq SIMILAR TO "abc" WITHIN 1 USING edits`)
 	if res.Rows[0][0] != "3" {
 		t.Fatalf("delete count = %s, want 3", res.Rows[0][0])
 	}
-	p.exec(t, `UPDATE words SET tag = "9" WHERE seq = "xyz"`)
-	p.checkDump(t)
+	h.exec(t, `UPDATE words SET tag = "9" WHERE seq = "hij"`)
+	h.checkDump(t)
+}
+
+// TestBatchFilterAllocsConstant pins the filter's per-row allocation
+// profile: a Scan -> Filter pipeline over a compiled predicate must not
+// allocate per row, so its allocations stay flat as the relation grows
+// tenfold.
+func TestBatchFilterAllocsConstant(t *testing.T) {
+	allocs := func(n int) float64 {
+		rel := relation.New("words")
+		for i := 0; i < n; i++ {
+			rel.Insert(fmt.Sprintf("w%d", i), map[string]string{"tag": fmt.Sprint(i % 7)})
+		}
+		cat := relation.NewCatalog()
+		cat.Add(rel)
+		e := NewEngine(cat)
+		snap := rel.Snapshot()
+		q, err := Parse(`SELECT id FROM words WHERE tag = "3"`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx := &execCtx{eng: e}
+		op := &batchFilterOp{ctx: ctx, child: newBatchScanOp(ctx, snap, "words", defaultBatchSize), pred: q.Where, alias: "words"}
+		drain := func() {
+			if err := op.OpenBatch(); err != nil {
+				t.Fatal(err)
+			}
+			for {
+				b, err := op.NextBatch()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if b == nil {
+					break
+				}
+			}
+			if err := op.CloseBatch(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		drain() // warm the batch pool
+		return testing.AllocsPerRun(20, drain)
+	}
+	small, large := allocs(1000), allocs(10000)
+	if large > small+4 {
+		t.Fatalf("Scan -> Filter allocations grow with the row count: %v at 1000 rows, %v at 10000", small, large)
+	}
 }

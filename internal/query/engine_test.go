@@ -240,24 +240,22 @@ func TestJoinIndexVsNested(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Vectorized unit-cost joins run the length-partitioned batch join;
-	// in row mode (no partition operator) the same join probes the
-	// BK-tree. Both must agree with each other byte for byte.
+	// Unit-cost joins run the length-partitioned join on cost; an engine
+	// pinned to the index join probes the BK-tree instead. Both must
+	// agree byte for byte.
 	if !strings.Contains(idx.Plan, "PartitionJoin") {
 		t.Errorf("plan = %q", idx.Plan)
 	}
-	e.SetBatchSize(0)
-	rowIdx, err := e.Execute(`SELECT a.seq, b.seq FROM words a, words b WHERE a.seq SIMILAR TO b.seq WITHIN 1 USING unit-edits AND a.id != b.id`)
+	probed, err := runPinned(e, `SELECT a.seq, b.seq FROM words a, words b WHERE a.seq SIMILAR TO b.seq WITHIN 1 USING unit-edits AND a.id != b.id`, "index")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(rowIdx.Plan, "IndexJoin") {
-		t.Errorf("row plan = %q", rowIdx.Plan)
+	if !strings.Contains(probed.Plan, "IndexJoin") {
+		t.Errorf("pinned plan = %q", probed.Plan)
 	}
-	if !reflect.DeepEqual(rowIdx.Rows, idx.Rows) {
-		t.Errorf("row join rows = %v, batch join rows = %v", rowIdx.Rows, idx.Rows)
+	if !reflect.DeepEqual(probed.Rows, idx.Rows) {
+		t.Errorf("index join rows = %v, partition join rows = %v", probed.Rows, idx.Rows)
 	}
-	e.SetBatchSize(256)
 	nested, err := e.Execute(`SELECT a.seq, b.seq FROM words a, words b WHERE a.seq SIMILAR TO b.seq WITHIN 1 USING cheap_vowels AND a.id != b.id`)
 	if err != nil {
 		t.Fatal(err)

@@ -8,26 +8,6 @@ import (
 	"repro/internal/index"
 )
 
-// Operator is the Volcano-style physical operator interface: a pull
-// iterator over tuple bindings. Every access path, filter, join and
-// decorator in the engine implements it, so the planner can compose
-// them freely and EXPLAIN can render any plan as a tree.
-//
-// The protocol is Open -> Next* -> Close. Next returns (nil, nil) at
-// end of stream. Operators must be re-openable after Close (the inner
-// side of a nested-loop join is re-opened per outer binding). Work
-// counters accumulate locally and are flushed into the shared execCtx
-// on Close, so parallel sub-plans never race on the counters.
-type Operator interface {
-	Open() error
-	Next() (*binding, error)
-	Close() error
-	// Describe returns the one-line operator label for EXPLAIN.
-	Describe() string
-	// Children returns the operator's inputs, outer first.
-	Children() []Operator
-}
-
 // ExecStats counts the work one query execution performed; exposed on
 // Result so callers (and the LIMIT-pushdown regression tests) can see
 // how many candidates an access path actually touched.
@@ -91,59 +71,26 @@ func (c *execCtx) snapshot() ExecStats {
 	return c.stats
 }
 
-// compiledPlan is the planner's output: an operator tree — row (root)
-// or batch (broot), depending on the decision's vectorize flag — plus
-// the result header it produces.
+// compiledPlan is the planner's output: a batch operator tree plus the
+// result header it produces.
 type compiledPlan struct {
-	root      Operator
 	broot     BatchOperator
-	batchSize int    // leaf block size when broot is set (EXPLAIN)
+	batchSize int    // leaf block size (EXPLAIN)
 	kernel    string // decided distance kernel (EXPLAIN label, dispatch metric)
 	ctx       *execCtx
 	columns   []string
 }
 
-// describe renders the operator tree for EXPLAIN and Result.Plan; a
-// vectorized plan carries the Vectorize pseudo-root so the planner's
-// decision is visible at the top of the tree.
+// describe renders the operator tree for EXPLAIN and Result.Plan under
+// the Vectorize pseudo-root, which surfaces the leaf block size and the
+// decided distance kernel at the top of the tree.
 func (p *compiledPlan) describe() string {
-	if p.broot != nil {
-		return renderTree(&vectorizeNode{child: p.broot, size: p.batchSize, kernel: p.kernel})
-	}
-	return renderTree(p.root)
+	return renderTree(&vectorizeNode{child: p.broot, size: p.batchSize, kernel: p.kernel})
 }
 
-// run drives the operator tree to completion and assembles the result.
-func (p *compiledPlan) run() (*Result, error) {
-	if p.broot != nil {
-		return p.runBatch()
-	}
-	res := &Result{Columns: p.columns, Plan: p.describe()}
-	if err := p.root.Open(); err != nil {
-		p.root.Close()
-		return nil, err
-	}
-	for {
-		b, err := p.root.Next()
-		if err != nil {
-			p.root.Close()
-			return nil, err
-		}
-		if b == nil {
-			break
-		}
-		res.Rows = append(res.Rows, b.row)
-	}
-	if err := p.root.Close(); err != nil {
-		return nil, err
-	}
-	res.Stats = p.ctx.snapshot()
-	return res, nil
-}
-
-// runBatch drives a batch operator tree, appending each block's
+// run drives the operator tree to completion, appending each block's
 // projected rows to the result.
-func (p *compiledPlan) runBatch() (*Result, error) {
+func (p *compiledPlan) run() (*Result, error) {
 	res := &Result{Columns: p.columns, Plan: p.describe()}
 	if err := p.broot.OpenBatch(); err != nil {
 		p.broot.CloseBatch()
@@ -174,8 +121,7 @@ func (p *compiledPlan) runBatch() (*Result, error) {
 //	   └─ Filter(lang = "en")
 //	      └─ IndexRange(words via bktree, target=color, radius=1, ruleset=edits)
 //
-// Nodes may be row operators, batch operators or the adapters bridging
-// them; mixed trees render seamlessly.
+// Nodes are batch operators or pseudo-nodes (the Vectorize root).
 func renderTree(node any) string {
 	var b strings.Builder
 	var walk func(node any, prefix string, last bool, root bool)
@@ -211,20 +157,10 @@ func describeNode(n any) string {
 	return fmt.Sprintf("%T", n)
 }
 
-// childNodesOf returns a node's inputs for the tree walk. Batch
-// operators and adapters report mixed-kind children via childNodes;
-// plain row operators lift their Children slice.
+// childNodesOf returns a node's inputs for the tree walk.
 func childNodesOf(n any) []any {
 	if cn, ok := n.(interface{ childNodes() []any }); ok {
 		return cn.childNodes()
-	}
-	if op, ok := n.(Operator); ok {
-		kids := op.Children()
-		out := make([]any, len(kids))
-		for i, k := range kids {
-			out[i] = k
-		}
-		return out
 	}
 	return nil
 }

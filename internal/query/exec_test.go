@@ -74,12 +74,11 @@ func bigEngine(t testing.TB) *Engine {
 // every access path, one EXPLAIN per row.
 func TestExplainOperatorTrees(t *testing.T) {
 	small := testEngine(t)
-	rowSmall := testEngine(t)
-	rowSmall.SetBatchSize(0)
 	big := bigEngine(t)
 	cases := []struct {
 		name string
 		eng  *Engine
+		join string // rewrite every join step to this algorithm ("" = decided)
 		src  string
 		want []string // substrings that must appear in the plan tree
 		not  []string // substrings that must not
@@ -153,8 +152,9 @@ func TestExplainOperatorTrees(t *testing.T) {
 			not:  []string{"NestedLoopJoin", "IndexJoin"},
 		},
 		{
-			name: "row-mode unit join uses the index",
-			eng:  rowSmall,
+			name: "index-pinned unit join probes the bktree",
+			eng:  small,
+			join: "index",
 			src:  `SELECT * FROM words a, words b WHERE a.seq SIMILAR TO b.seq WITHIN 1 USING unit-edits`,
 			want: []string{"IndexJoin(probe a.seq into bktree(b)", "Scan(a)"},
 			not:  []string{"NestedLoopJoin", "PartitionJoin"},
@@ -163,8 +163,8 @@ func TestExplainOperatorTrees(t *testing.T) {
 			name: "weighted join needs nested loops",
 			eng:  small,
 			src:  `SELECT * FROM words a, words b WHERE a.seq SIMILAR TO b.seq WITHIN 1 USING cheap_vowels`,
-			want: []string{"NestedLoopJoin(on", "Scan(a)", "Scan(b)"},
-			not:  []string{"IndexJoin"},
+			want: []string{"NestedLoopJoin(on", "Scan(a)"},
+			not:  []string{"IndexJoin", "PartitionJoin"},
 		},
 		{
 			name: "three-way join chains two partition joins",
@@ -174,8 +174,9 @@ func TestExplainOperatorTrees(t *testing.T) {
 			want: []string{"PartitionJoin(probe a.seq into b[length-banded]", "PartitionJoin(probe b.seq into c[length-banded]"},
 		},
 		{
-			name: "three-way row join chains two index joins",
-			eng:  rowSmall,
+			name: "three-way index-pinned join chains two index joins",
+			eng:  small,
+			join: "index",
 			src: `SELECT * FROM words a, words b, words c WHERE a.seq SIMILAR TO b.seq WITHIN 1 USING unit-edits ` +
 				`AND b.seq SIMILAR TO c.seq WITHIN 1 USING unit-edits`,
 			want: []string{"IndexJoin(probe a.seq into bktree(b)", "IndexJoin(probe b.seq into bktree(c)"},
@@ -190,6 +191,9 @@ func TestExplainOperatorTrees(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			res, err := tc.eng.Execute("EXPLAIN " + tc.src)
+			if tc.join != "" {
+				res, err = runPinned(tc.eng, "EXPLAIN "+tc.src, tc.join)
+			}
 			if err != nil {
 				t.Fatalf("Execute: %v", err)
 			}

@@ -2,9 +2,9 @@ package query
 
 // GatherMerge determinism: equal-distance rows must order by row key
 // (tuple id) no matter which shard finishes first. The stub children
-// block in Open until released, so each table case is executed under
-// every permutation of shard completion order and must produce the
-// same bytes.
+// block in OpenBatch until released, so each table case is executed
+// under every permutation of shard completion order and must produce
+// the same bytes.
 
 import (
 	"fmt"
@@ -14,17 +14,24 @@ import (
 	"repro/internal/relation"
 )
 
-// stubShardOp emits a fixed binding list after its gate releases and
-// signals done on Close, letting the test serialize shard completion
-// into an exact order.
+// stubRow is one row a stub shard emits.
+type stubRow struct {
+	id   int
+	dist float64
+}
+
+// stubShardOp emits a fixed row list, one row per block, after its
+// gate releases and signals done on CloseBatch, letting the test
+// serialize shard completion into an exact order.
 type stubShardOp struct {
-	rows []*binding
+	rows []stubRow
 	gate chan struct{}
 	done chan struct{}
 	pos  int
+	buf  Batch
 }
 
-func (o *stubShardOp) Open() error {
+func (o *stubShardOp) OpenBatch() error {
 	if o.gate != nil {
 		<-o.gate
 	}
@@ -32,16 +39,19 @@ func (o *stubShardOp) Open() error {
 	return nil
 }
 
-func (o *stubShardOp) Next() (*binding, error) {
+func (o *stubShardOp) NextBatch() (*Batch, error) {
 	if o.pos >= len(o.rows) {
 		return nil, nil
 	}
-	b := o.rows[o.pos]
+	r := o.rows[o.pos]
 	o.pos++
-	return b, nil
+	o.buf.reset()
+	o.buf.alias = "t"
+	o.buf.appendMatch(relation.Tuple{ID: r.id, Seq: fmt.Sprintf("s%d", r.id)}, r.dist, true)
+	return &o.buf, nil
 }
 
-func (o *stubShardOp) Close() error {
+func (o *stubShardOp) CloseBatch() error {
 	select {
 	case <-o.done:
 	default:
@@ -50,14 +60,10 @@ func (o *stubShardOp) Close() error {
 	return nil
 }
 
-func (o *stubShardOp) Describe() string     { return "StubShard" }
-func (o *stubShardOp) Children() []Operator { return nil }
+func (o *stubShardOp) Describe() string  { return "StubShard" }
+func (o *stubShardOp) childNodes() []any { return nil }
 
-func mkBinding(id int, dist float64) *binding {
-	b := newBinding("t", relation.Tuple{ID: id, Seq: fmt.Sprintf("s%d", id)})
-	b.dist, b.hasDist = dist, true
-	return b
-}
+func stubRowOf(id int, dist float64) stubRow { return stubRow{id: id, dist: dist} }
 
 func permutations(n int) [][]int {
 	if n == 1 {
@@ -76,29 +82,29 @@ func permutations(n int) [][]int {
 	return out
 }
 
-// drainGather runs a gatherMergeOp whose children complete in the given
-// order and returns the merged (id, dist) pairs.
-func drainGather(t *testing.T, shardRows [][]*binding, mode gatherMode, k int, completion []int) [][2]float64 {
+// drainGather runs a batchGatherMergeOp whose children complete in the
+// given order and returns the merged (id, dist) pairs.
+func drainGather(t *testing.T, shardRows [][]stubRow, mode gatherMode, k int, completion []int) [][2]float64 {
 	t.Helper()
-	children := make([]Operator, len(shardRows))
+	children := make([]BatchOperator, len(shardRows))
 	stubs := make([]*stubShardOp, len(shardRows))
 	for i, rows := range shardRows {
 		stubs[i] = &stubShardOp{rows: rows, gate: make(chan struct{}), done: make(chan struct{})}
 		children[i] = stubs[i]
 	}
-	op := &gatherMergeOp{
+	op := &batchGatherMergeOp{
 		ctx: &execCtx{}, children: children, workers: len(children),
-		alias: "t", mode: mode, k: k,
+		alias: "t", mode: mode, k: k, size: 2,
 	}
 	done := make(chan error, 1)
 	var got [][2]float64
 	go func() {
-		if err := op.Open(); err != nil {
+		if err := op.OpenBatch(); err != nil {
 			done <- err
 			return
 		}
 		for {
-			b, err := op.Next()
+			b, err := op.NextBatch()
 			if err != nil {
 				done <- err
 				return
@@ -106,10 +112,11 @@ func drainGather(t *testing.T, shardRows [][]*binding, mode gatherMode, k int, c
 			if b == nil {
 				break
 			}
-			tup, _ := b.tupleFor("t")
-			got = append(got, [2]float64{float64(tup.ID), b.dist})
+			for i := 0; i < b.Len(); i++ {
+				got = append(got, [2]float64{float64(b.IDs[i]), b.dist[i]})
+			}
 		}
-		done <- op.Close()
+		done <- op.CloseBatch()
 	}()
 	// Release the shards strictly in the permuted completion order:
 	// shard i+1 may not even start until shard i has fully finished.
@@ -129,17 +136,17 @@ func drainGather(t *testing.T, shardRows [][]*binding, mode gatherMode, k int, c
 func TestGatherMergeTieBreaking(t *testing.T) {
 	cases := []struct {
 		name   string
-		shards [][]*binding // per shard, in the shard's own emit order
+		shards [][]stubRow // per shard, in the shard's own emit order
 		mode   gatherMode
 		k      int
 		want   [][2]float64
 	}{
 		{
 			name: "bestk equal distances across shards",
-			shards: [][]*binding{
-				{mkBinding(3, 1), mkBinding(7, 1)},
-				{mkBinding(1, 1), mkBinding(9, 1)},
-				{mkBinding(5, 1), mkBinding(6, 1)},
+			shards: [][]stubRow{
+				{stubRowOf(3, 1), stubRowOf(7, 1)},
+				{stubRowOf(1, 1), stubRowOf(9, 1)},
+				{stubRowOf(5, 1), stubRowOf(6, 1)},
 			},
 			mode: gatherBestK, k: 4,
 			// All dist 1: ids ascending, truncated to k.
@@ -147,10 +154,10 @@ func TestGatherMergeTieBreaking(t *testing.T) {
 		},
 		{
 			name: "bestk mixed distances with boundary tie",
-			shards: [][]*binding{
-				{mkBinding(10, 0), mkBinding(11, 2)},
-				{mkBinding(2, 2), mkBinding(4, 3)},
-				{mkBinding(8, 1)},
+			shards: [][]stubRow{
+				{stubRowOf(10, 0), stubRowOf(11, 2)},
+				{stubRowOf(2, 2), stubRowOf(4, 3)},
+				{stubRowOf(8, 1)},
 			},
 			mode: gatherBestK, k: 3,
 			// The k-th slot is contested by dist-2 rows 2 and 11: lower id
@@ -159,29 +166,29 @@ func TestGatherMergeTieBreaking(t *testing.T) {
 		},
 		{
 			name: "bestk k larger than matches",
-			shards: [][]*binding{
-				{mkBinding(2, 2)},
+			shards: [][]stubRow{
+				{stubRowOf(2, 2)},
 				{},
-				{mkBinding(1, 2)},
+				{stubRowOf(1, 2)},
 			},
 			mode: gatherBestK, k: 10,
 			want: [][2]float64{{1, 2}, {2, 2}},
 		},
 		{
 			name: "id merge restores global scan order",
-			shards: [][]*binding{
-				{mkBinding(0, 1), mkBinding(5, 1)},
-				{mkBinding(2, 1)},
-				{mkBinding(1, 1), mkBinding(3, 1), mkBinding(4, 1)},
+			shards: [][]stubRow{
+				{stubRowOf(0, 1), stubRowOf(5, 1)},
+				{stubRowOf(2, 1)},
+				{stubRowOf(1, 1), stubRowOf(3, 1), stubRowOf(4, 1)},
 			},
 			mode: gatherByID,
 			want: [][2]float64{{0, 1}, {1, 1}, {2, 1}, {3, 1}, {4, 1}, {5, 1}},
 		},
 		{
 			name: "id merge sorts unsorted index-traversal buffers",
-			shards: [][]*binding{
-				{mkBinding(6, 1), mkBinding(0, 2)}, // traversal order, not id order
-				{mkBinding(3, 1), mkBinding(1, 3)},
+			shards: [][]stubRow{
+				{stubRowOf(6, 1), stubRowOf(0, 2)}, // traversal order, not id order
+				{stubRowOf(3, 1), stubRowOf(1, 3)},
 			},
 			mode: gatherByID,
 			want: [][2]float64{{0, 2}, {1, 3}, {3, 1}, {6, 1}},

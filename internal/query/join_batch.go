@@ -1,32 +1,52 @@
 package query
 
-// The partitioned batch join. The row-pipeline joins (operators.go)
-// verify one outer/inner pair per Next call; for a block-oriented plan
-// the partition join instead blocks the OUTER side through the batch
-// pipeline and pre-partitions the INNER side once at open:
+// Distance joins. One BatchOperator, batchJoinOp, executes every
+// decided join step: it blocks the OUTER side through the batch
+// pipeline and, per outer row, collects the verified inner matches
+// before emitting merged bindings. The three physical algorithms differ
+// only in how a probe finds its matches:
 //
-//   - edit-distance edges partition inner rows by sequence length.
-//     Under a unit-cost rule set every edit operation costs at least 1,
-//     so d(x, y) >= | |x| - |y| | and an outer probe of length L only
-//     needs the buckets [L-floor(k), L+floor(k)] — the classic
-//     length-filter band.
-//   - vector edges under a triangular metric partition by distance to
-//     a fixed vantage (the zero vector): |d(q,0) - d(c,0)| <= d(q,c),
+//   - "partition": the inner side is partitioned once at open.
+//     Edit-distance edges bucket inner rows by sequence length: under a
+//     unit-cost rule set every edit costs at least 1, so
+//     d(x, y) >= | |x| - |y| | and a probe of length L only needs the
+//     buckets [L-floor(k), L+floor(k)] — the classic length-filter
+//     band. Vector edges under a triangular metric bucket by distance
+//     to a fixed vantage (the zero vector): |d(q,0) - d(c,0)| <= d(q,c),
 //     so a probe with norm n only needs buckets covering [n-r, n+r].
 //     Non-triangular metrics (cosine) degrade to a single partition —
-//     the blocked kernels still apply, the pruning does not.
-//
-// Inside a band the probe runs the same kernels the scan+filter path
-// uses (bit-parallel Myers or the dense TargetDP for strings, the
-// metric's DistBatch for vectors) with the operand order of the row
-// join's evalSim preserved on every fallback, so results stay
-// byte-identical to the nested-loop plan — the join oracle pins that.
+//     the blocked kernels still apply, the pruning does not. Inside a
+//     band the probe runs the scan+filter kernels (bit-parallel Myers or
+//     the dense TargetDP for strings, the metric's DistBatch for
+//     vectors) with evalSim's operand order preserved on every
+//     fallback.
+//   - "nl": the unbanded case of the partition join — one bucket
+//     holding every inner row, each pair checked through evalSim's
+//     operand order (Engine.within for rule sets, metric.Within for
+//     vectors). It works for any rule set or metric.
+//   - "index": each probe queries the inner relation's metric index —
+//     the BK-tree for unit-cost edit edges at an integral radius over
+//     seq, the VP-tree for vector edges under a triangular metric.
 //
 // The inner side is a list of snapshots: one for a plain relation, one
-// per shard when a sharded inner is broadcast (see join_shard.go).
-// Per-probe matches sort by global tuple id before emission, so the
-// output order is exactly the nested-loop plan's (outer order, inner
-// ascending).
+// per shard when a sharded inner is broadcast. Per-probe matches sort
+// by global tuple id before emission, so every algorithm emits in the
+// same order (outer order, inner ascending) and the three are
+// byte-identical — the join oracle pins that against a reference
+// evaluator.
+//
+// Sharded joins run one chain per OUTER shard under an id-ordered
+// GatherMerge, each chain joining its outer shard against the FULL
+// inner side ("broadcast": every chain sees every inner shard's
+// snapshot). Ids are global and each chain's output is ascending in
+// outer id with inner matches ascending in global inner id, so the
+// gather reproduces exactly the unsharded plan's emission order.
+// Broadcast is the right strategy because the hash partitioner
+// (relation.RouteOf) is not distance-preserving: rows within edit
+// distance k of each other land on unrelated shards, so a
+// co-partitioned join does not exist without a band-aware
+// partitioning scheme. The partition join recovers that banding per
+// chain, over the broadcast inner, without moving rows.
 
 import (
 	"fmt"
@@ -56,11 +76,12 @@ type partMatch struct {
 	d float64
 }
 
-// batchPartitionJoinOp is the BatchOperator that executes one decided
-// "partition" join step.
-type batchPartitionJoinOp struct {
+// batchJoinOp is the BatchOperator that executes one decided join step
+// ("nl", "index" or "partition").
+type batchJoinOp struct {
 	ctx           *execCtx
 	child         BatchOperator // outer side, batched
+	algo          string
 	snaps         []*relation.Snapshot
 	alias         string   // inner alias
 	probeField    FieldRef // outer-side join field
@@ -71,7 +92,7 @@ type batchPartitionJoinOp struct {
 	vec           bool
 	m             metric.Distance // vec edges: the resolved metric
 
-	// Partition state, built at OpenBatch.
+	// Partition state, built at OpenBatch ("nl" keeps one bucket).
 	strBuckets map[int][]partInnerRow // key: len(val)
 	vecBuckets map[int][]partVecRow   // key: floor(norm/w)
 	vecCols    map[int][]metric.Vector
@@ -94,9 +115,11 @@ type batchPartitionJoinOp struct {
 	last  ExecStats // retained across Close for span attribution
 }
 
-func (o *batchPartitionJoinOp) OpenBatch() error {
-	if err := o.buildPartitions(); err != nil {
-		return err
+func (o *batchJoinOp) OpenBatch() error {
+	if o.algo != "index" {
+		if err := o.buildPartitions(); err != nil {
+			return err
+		}
 	}
 	o.out = getBatch()
 	o.cur, o.pos, o.curBind = nil, 0, nil
@@ -104,14 +127,16 @@ func (o *batchPartitionJoinOp) OpenBatch() error {
 	return o.child.OpenBatch()
 }
 
-// buildPartitions reads every inner snapshot once and buckets the rows.
-// Reading the inner side counts as candidate work, like a scan's.
-func (o *batchPartitionJoinOp) buildPartitions() error {
+// buildPartitions reads every inner snapshot once and buckets the rows
+// (one bucket for the nested loop). Reading the inner side counts as
+// candidate work, like a scan's.
+func (o *batchJoinOp) buildPartitions() error {
+	nested := o.algo == "nl"
 	if o.vec {
 		if o.m == nil {
-			return fmt.Errorf("query: stale plan: partition join lost its metric")
+			return fmt.Errorf("query: stale plan: join lost its metric")
 		}
-		o.banded = metric.IsTriangular(o.m)
+		o.banded = !nested && metric.IsTriangular(o.m)
 		o.bandW = o.sim.Radius
 		if o.bandW <= 0 {
 			o.bandW = 1
@@ -134,34 +159,52 @@ func (o *batchPartitionJoinOp) buildPartitions() error {
 		}
 		return nil
 	}
-	o.calc = o.ctx.eng.calc(o.sim.RuleSet)
-	if o.calc == nil {
-		// Partition is only decided for rule sets with a DP calculator;
-		// the rule set changed under the plan — Execute re-plans on this.
-		return fmt.Errorf("query: stale plan: rule set %q has no calculator", o.sim.RuleSet)
+	if !nested {
+		o.calc = o.ctx.eng.calc(o.sim.RuleSet)
+		if o.calc == nil {
+			// Partition is only decided for rule sets with a DP calculator;
+			// the rule set changed under the plan — Execute re-plans on this.
+			return fmt.Errorf("query: stale plan: rule set %q has no calculator", o.sim.RuleSet)
+		}
 	}
 	o.strBuckets = make(map[int][]partInnerRow)
 	for _, snap := range o.snaps {
 		for _, t := range snap.Tuples() {
 			val := t.Attr(o.innerField)
-			o.strBuckets[len(val)] = append(o.strBuckets[len(val)], partInnerRow{t: t, val: val})
+			key := len(val)
+			if nested {
+				key = 0
+			}
+			o.strBuckets[key] = append(o.strBuckets[key], partInnerRow{t: t, val: val})
 			o.local.Candidates++
 		}
 	}
 	return nil
 }
 
-// probe verifies the banded inner candidates against one outer row and
-// leaves the id-sorted matches in o.matches.
-func (o *batchPartitionJoinOp) probe(b *binding) error {
+// probe verifies the inner candidates against one outer row and leaves
+// the id-sorted matches in o.matches.
+func (o *batchJoinOp) probe(b *binding) error {
 	o.matches, o.mpos = o.matches[:0], 0
-	if o.vec {
-		return o.probeVec(b)
+	var err error
+	switch {
+	case o.algo == "index":
+		err = o.probeIndex(b)
+	case o.algo == "nl":
+		err = o.probeNested(b)
+	case o.vec:
+		err = o.probeVec(b)
+	default:
+		err = o.probeStr(b)
 	}
-	return o.probeStr(b)
+	if err != nil {
+		return err
+	}
+	sort.Slice(o.matches, func(i, j int) bool { return o.matches[i].t.ID < o.matches[j].t.ID })
+	return nil
 }
 
-func (o *batchPartitionJoinOp) probeStr(b *binding) error {
+func (o *batchJoinOp) probeStr(b *binding) error {
 	pv, err := fieldValue(o.probeField, b)
 	if err != nil {
 		return err
@@ -171,8 +214,8 @@ func (o *batchPartitionJoinOp) probeStr(b *binding) error {
 	if radius >= math.MaxInt32 {
 		k = math.MaxInt32 // clamp: degrades to the walk-all-buckets path below
 	}
-	// Fallback kernel preserving the row join's operand order, built
-	// lazily — most probes under a unit-cost rule set never need it.
+	// Fallback kernel preserving evalSim's operand order, built lazily —
+	// most probes under a unit-cost rule set never need it.
 	var fall *editdp.TargetDP
 	fallback := func(x string) (float64, bool) {
 		if o.outerIsTarget {
@@ -221,11 +264,10 @@ func (o *batchPartitionJoinOp) probeStr(b *binding) error {
 			}
 		}
 	}
-	sort.Slice(o.matches, func(i, j int) bool { return o.matches[i].t.ID < o.matches[j].t.ID })
 	return nil
 }
 
-func (o *batchPartitionJoinOp) probeVec(b *binding) error {
+func (o *batchJoinOp) probeVec(b *binding) error {
 	t, err := vecTupleFor(o.probeField, b)
 	if err != nil {
 		return err
@@ -266,7 +308,7 @@ func (o *batchPartitionJoinOp) probeVec(b *binding) error {
 			}
 		} else {
 			// Probe is the field operand: keep the candidate (target)
-			// first, the order the row join verifies with.
+			// first, the order evalSim verifies with.
 			for _, row := range rows {
 				o.local.Candidates++
 				o.local.Verifications++
@@ -276,11 +318,96 @@ func (o *batchPartitionJoinOp) probeVec(b *binding) error {
 			}
 		}
 	}
-	sort.Slice(o.matches, func(i, j int) bool { return o.matches[i].t.ID < o.matches[j].t.ID })
 	return nil
 }
 
-func (o *batchPartitionJoinOp) NextBatch() (*Batch, error) {
+// probeNested checks every inner row against the probe with evalSim's
+// operand order: the predicate's field operand first for rule sets,
+// the target vector first for metrics.
+func (o *batchJoinOp) probeNested(b *binding) error {
+	if o.vec {
+		t, err := vecTupleFor(o.probeField, b)
+		if err != nil {
+			return err
+		}
+		if t.Vec == nil {
+			return nil // rows without a vector never match
+		}
+		for _, row := range o.vecBuckets[0] {
+			o.local.Candidates++
+			o.local.Verifications++
+			target, field := row.t.Vec, t.Vec
+			if o.outerIsTarget {
+				target, field = t.Vec, row.t.Vec
+			}
+			if d, ok := metric.Within(o.m, target, field, o.sim.Radius); ok {
+				o.matches = append(o.matches, partMatch{t: row.t, d: d})
+			}
+		}
+		return nil
+	}
+	pv, err := fieldValue(o.probeField, b)
+	if err != nil {
+		return err
+	}
+	for _, row := range o.strBuckets[0] {
+		o.local.Candidates++
+		o.local.Verifications++
+		field, target := pv, row.val
+		if o.outerIsTarget {
+			field, target = row.val, pv
+		}
+		d, ok, err := o.ctx.eng.within(field, target, o.sim.RuleSet, o.sim.Radius)
+		if err != nil {
+			return err
+		}
+		if ok {
+			o.matches = append(o.matches, partMatch{t: row.t, d: d})
+		}
+	}
+	return nil
+}
+
+// probeIndex runs the probe through every inner snapshot's index. The
+// online-maintained index is a superset of the snapshot, so each match
+// passes the snapshot's visibility filter.
+func (o *batchJoinOp) probeIndex(b *binding) error {
+	if o.vec {
+		t, err := vecTupleFor(o.probeField, b)
+		if err != nil {
+			return err
+		}
+		if t.Vec == nil {
+			return nil // rows without a vector never match
+		}
+		for _, snap := range o.snaps {
+			ms, st := snap.VPTree(o.m).RangeStats(t.Vec, o.sim.Radius)
+			o.local.add(fromIndexStats(st))
+			for _, m := range ms {
+				if it, ok := snap.Tuple(m.ID); ok {
+					o.matches = append(o.matches, partMatch{t: it, d: m.Dist})
+				}
+			}
+		}
+		return nil
+	}
+	pv, err := fieldValue(o.probeField, b)
+	if err != nil {
+		return err
+	}
+	for _, snap := range o.snaps {
+		ms, st := snap.BKTree().RangeStats(pv, int(o.sim.Radius))
+		o.local.add(fromIndexStats(st))
+		for _, m := range ms {
+			if it, ok := snap.Tuple(m.ID); ok {
+				o.matches = append(o.matches, partMatch{t: it, d: m.Dist})
+			}
+		}
+	}
+	return nil
+}
+
+func (o *batchJoinOp) NextBatch() (*Batch, error) {
 	b := o.out
 	b.reset()
 	binds := o.binds[:0]
@@ -327,7 +454,7 @@ func (o *batchPartitionJoinOp) NextBatch() (*Batch, error) {
 	return b, nil
 }
 
-func (o *batchPartitionJoinOp) CloseBatch() error {
+func (o *batchJoinOp) CloseBatch() error {
 	o.last.add(o.local)
 	o.ctx.addStats(o.local)
 	o.local = ExecStats{}
@@ -338,9 +465,26 @@ func (o *batchPartitionJoinOp) CloseBatch() error {
 	return o.child.CloseBatch()
 }
 
-func (o *batchPartitionJoinOp) opStats() ExecStats { return o.last }
+func (o *batchJoinOp) opStats() ExecStats { return o.last }
 
-func (o *batchPartitionJoinOp) Describe() string {
+func (o *batchJoinOp) Describe() string {
+	fanout := ""
+	if len(o.snaps) > 1 {
+		fanout = fmt.Sprintf(" x%d shards", len(o.snaps))
+	}
+	switch o.algo {
+	case "nl":
+		if fanout != "" {
+			return fmt.Sprintf("NestedLoopJoin(on %s, inner%s)", o.sim, fanout)
+		}
+		return fmt.Sprintf("NestedLoopJoin(on %s)", o.sim)
+	case "index":
+		idx := "bktree"
+		if o.vec {
+			idx = "vptree"
+		}
+		return fmt.Sprintf("IndexJoin(probe %s into %s(%s)%s, on %s)", o.probeField, idx, o.alias, fanout, o.sim)
+	}
 	band := "length-banded"
 	if o.vec {
 		band = "norm-banded"
@@ -348,42 +492,47 @@ func (o *batchPartitionJoinOp) Describe() string {
 			band = "single partition"
 		}
 	}
-	if len(o.snaps) > 1 {
-		return fmt.Sprintf("PartitionJoin(probe %s into %s[%s] x%d shards, on %s)",
-			o.probeField, o.alias, band, len(o.snaps), o.sim)
-	}
-	return fmt.Sprintf("PartitionJoin(probe %s into %s[%s], on %s)", o.probeField, o.alias, band, o.sim)
+	return fmt.Sprintf("PartitionJoin(probe %s into %s[%s]%s, on %s)", o.probeField, o.alias, band, fanout, o.sim)
 }
 
-func (o *batchPartitionJoinOp) childNodes() []any { return []any{o.child} }
+func (o *batchJoinOp) childNodes() []any { return []any{o.child} }
 
-// buildBatchJoin reconstructs a decided join chain for the batch
-// pipeline. Chains without a partition step keep the proven shape: the
-// row join chain (with a batch cursor under its start scan) bridged by
-// one RowToBatch adapter. Chains with a partition step build natively
-// batched: the start scan feeds partition steps directly, and any
-// nl/index steps in the same chain run as row operators between a
-// BatchToRow/RowToBatch adapter pair.
-func (e *Engine) buildBatchJoin(ctx *execCtx, q *Query, rels []*relation.Relation, snapOf func(*relation.Relation) *relation.Snapshot, d *planDecision, size int) (BatchOperator, error) {
-	hasPartition := false
-	for _, step := range d.steps {
-		if step.algo == "partition" {
-			hasPartition = true
+// mergeBindings combines the alias maps of two bindings; the left
+// binding's distance (if any) wins, preserving first-predicate-sets-
+// dist semantics across join chains.
+func mergeBindings(l, r *binding) *binding {
+	aliases := make(map[string]relation.Tuple, 4)
+	put := func(src *binding) {
+		if src.aliases == nil {
+			aliases[src.alias] = src.tuple
+			return
+		}
+		for a, t := range src.aliases {
+			aliases[a] = t
 		}
 	}
-	if !hasPartition {
-		rowAccess, err := e.buildJoin(ctx, q, rels, snapOf, d)
-		if err != nil {
-			return nil, err
-		}
-		return trB(ctx, &rowToBatchOp{child: rowAccess, size: size}, estOf(rowAccess), ""), nil
+	put(l)
+	put(r)
+	b := &binding{aliases: aliases, dist: l.dist, hasDist: l.hasDist}
+	if !b.hasDist && r.hasDist {
+		b.dist, b.hasDist = r.dist, true
 	}
+	return b
+}
 
+// buildJoin reconstructs a decided join chain, unsharded or broadcast-
+// sharded. Edges are recovered by position from extractJoinSims'
+// deterministic output; edges not used by any step (cycles) become
+// residual predicates — they must still hold on each output binding.
+func (e *Engine) buildJoin(ctx *execCtx, q *Query, d *planDecision, tabs []relation.Table, size int) (BatchOperator, error) {
 	relOf := map[string]relation.Table{}
-	relPlain := map[string]*relation.Relation{}
 	for i, ref := range q.From {
-		relOf[ref.Alias] = rels[i]
-		relPlain[ref.Alias] = rels[i]
+		relOf[ref.Alias] = tabs[i]
+		if _, ok := tabs[i].(*relation.ShardedRelation); ok && !d.shardJoin {
+			// The table was re-registered with a sharded layout after this
+			// decision was made; Execute re-plans on this error.
+			return nil, fmt.Errorf("query: stale plan: relation %q is now sharded", ref.Name)
+		}
 	}
 	edges, residual := extractJoinSims(q.Where, relOf)
 	used := make([]bool, len(edges))
@@ -401,14 +550,11 @@ func (e *Engine) buildBatchJoin(ctx *execCtx, q *Query, rels []*relation.Relatio
 	pred := simplifyExpr(residual)
 	steps := d.steps
 
-	startSnap := snapOf(relPlain[d.start])
-	startStats := relPlain[d.start].Stats()
-	stepSnaps := make([]*relation.Snapshot, len(steps))
-	stepStats := make([]relation.Stats, len(steps))
+	// Resolve metrics and ensure shared index structures BEFORE any view
+	// or snapshot capture: the captured snapshots must carry the
+	// online-maintained indexes instead of building private ones.
 	stepMetrics := make([]metric.Distance, len(steps))
 	for i, step := range steps {
-		stepSnaps[i] = snapOf(relPlain[step.alias])
-		stepStats[i] = relPlain[step.alias].Stats()
 		if step.vec {
 			m, ok := metric.Lookup(edges[step.edge].RuleSet)
 			if !ok {
@@ -416,45 +562,92 @@ func (e *Engine) buildBatchJoin(ctx *execCtx, q *Query, rels []*relation.Relatio
 			}
 			stepMetrics[i] = m
 		}
+		if step.algo != "index" {
+			continue
+		}
+		switch t := relOf[step.alias].(type) {
+		case *relation.ShardedRelation:
+			if step.vec {
+				t.EnsureVPTrees(stepMetrics[i])
+			} else {
+				t.EnsureBKTrees()
+			}
+		case *relation.Relation:
+			if step.vec {
+				t.VPTree(stepMetrics[i])
+			} else {
+				t.BKTree()
+			}
+		}
 	}
 
-	build := func(shard, shards int) BatchOperator {
-		bs := newBatchScanOp(ctx, startSnap, d.start, size)
+	// One snapshot list per table IDENTITY: a self-join must read the
+	// same consistent cut on both sides, and a sharded table's view is
+	// captured exactly once.
+	snapCache := map[relation.Table][]*relation.Snapshot{}
+	snapsOf := func(tab relation.Table) ([]*relation.Snapshot, error) {
+		if s, ok := snapCache[tab]; ok {
+			return s, nil
+		}
+		var snaps []*relation.Snapshot
+		switch t := tab.(type) {
+		case *relation.ShardedRelation:
+			view := t.View()
+			snaps = make([]*relation.Snapshot, view.NumShards())
+			for i := range snaps {
+				snaps[i] = view.Snap(i)
+			}
+		case *relation.Relation:
+			snaps = []*relation.Snapshot{t.Snapshot()}
+		default:
+			return nil, fmt.Errorf("query: relation %q has an unknown layout", tab.Name())
+		}
+		snapCache[tab] = snaps
+		return snaps, nil
+	}
+	startSnaps, err := snapsOf(relOf[d.start])
+	if err != nil {
+		return nil, err
+	}
+	if d.shardJoin && len(startSnaps) != d.shards {
+		// The start relation was re-registered with a different layout;
+		// Execute re-plans on this error.
+		return nil, fmt.Errorf("query: stale plan: relation %q has %d shards, plan wants %d",
+			relOf[d.start].Name(), len(startSnaps), d.shards)
+	}
+	startStats := relOf[d.start].Stats()
+	stepSnaps := make([][]*relation.Snapshot, len(steps))
+	stepStats := make([]relation.Stats, len(steps))
+	for i, step := range steps {
+		if stepSnaps[i], err = snapsOf(relOf[step.alias]); err != nil {
+			return nil, err
+		}
+		stepStats[i] = relOf[step.alias].Stats()
+	}
+
+	// chain builds the join pipeline over one outer snapshot, restricted
+	// to scan shard (shard, shards) of it; estimates follow the decided
+	// join order with the joinOutRowsFor formula decideJoin costed with,
+	// scaled to the chain's share of the outer rows.
+	chain := func(snap *relation.Snapshot, share, shard, shards int) BatchOperator {
+		bs := newBatchScanOp(ctx, snap, d.start, size)
 		bs.shard, bs.shards = shard, shards
-		cur := float64(startStats.Count) / float64(shards)
+		cur := float64(startStats.Count) / float64(share)
 		var op BatchOperator = trB(ctx, bs, cur, "")
 		for i, step := range steps {
 			edge := edges[step.edge]
-			outerEst := cur
 			cur = joinOutRowsFor(edge, cur, stepStats[i])
-			switch step.algo {
-			case "partition":
-				outerIsTarget := step.probeField == edge.Target.Field
-				innerField := edge.Field.Name
-				if !outerIsTarget {
-					innerField = edge.Target.Field.Name
-				}
-				op = trB(ctx, &batchPartitionJoinOp{
-					ctx: ctx, child: op, snaps: []*relation.Snapshot{stepSnaps[i]},
-					alias: step.alias, probeField: step.probeField,
-					innerField: innerField, outerIsTarget: outerIsTarget,
-					sim: edge, size: size, vec: step.vec, m: stepMetrics[i],
-				}, cur, d.kernel)
-			case "index":
-				row := tr(ctx, &indexJoinOp{
-					ctx: ctx, outer: &batchToRowOp{child: op},
-					snaps: []*relation.Snapshot{stepSnaps[i]}, alias: step.alias,
-					probeField: step.probeField, sim: edge, vec: step.vec, m: stepMetrics[i],
-				}, cur, d.kernel)
-				op = trB(ctx, &rowToBatchOp{child: row, size: size}, cur, "")
-			default: // "nl"
-				inner := tr(ctx, newScanOp(ctx, stepSnaps[i], step.alias),
-					outerEst*float64(stepStats[i].Count), "")
-				row := tr(ctx, &nestedLoopJoinOp{
-					ctx: ctx, outer: &batchToRowOp{child: op}, inner: inner, sim: edge,
-				}, cur, d.kernel)
-				op = trB(ctx, &rowToBatchOp{child: row, size: size}, cur, "")
+			outerIsTarget := step.probeField == edge.Target.Field
+			innerField := edge.Field.Name
+			if !outerIsTarget {
+				innerField = edge.Target.Field.Name
 			}
+			op = trB(ctx, &batchJoinOp{
+				ctx: ctx, child: op, algo: step.algo, snaps: stepSnaps[i],
+				alias: step.alias, probeField: step.probeField,
+				innerField: innerField, outerIsTarget: outerIsTarget,
+				sim: edge, size: size, vec: step.vec, m: stepMetrics[i],
+			}, cur, d.kernel)
 		}
 		if !isTrivial(pred) {
 			op = trB(ctx, &batchFilterOp{ctx: ctx, child: op, pred: pred, alias: d.start},
@@ -462,5 +655,18 @@ func (e *Engine) buildBatchJoin(ctx *execCtx, q *Query, rels []*relation.Relatio
 		}
 		return op
 	}
-	return wrapBatchParallel(ctx, d, build), nil
+
+	if !d.shardJoin {
+		return wrapBatchParallel(ctx, d, func(shard, shards int) BatchOperator {
+			return chain(startSnaps[0], shards, shard, shards)
+		}), nil
+	}
+	// One chain per outer shard (the whole chain runs under the gather,
+	// so per-chain Parallel buys nothing on top).
+	children := make([]BatchOperator, len(startSnaps))
+	for s, snap := range startSnaps {
+		children[s] = chain(snap, len(startSnaps), 0, 1)
+	}
+	return trB(ctx, &batchGatherMergeOp{ctx: ctx, children: children, workers: d.workers,
+		alias: d.start, mode: gatherByID, size: size}, -1, ""), nil
 }

@@ -1,17 +1,19 @@
 package query
 
-// The distance-join oracle: every join execution strategy — the row
-// nested-loop, the row index-nested-loop, the batched partition join
-// and the sharded broadcast variant of each — must produce the same
-// result as a brute-force double loop over the same data.
+// The distance-join oracle: every join algorithm — nested loop, index
+// (BK-tree and VP-tree) and partition — at block sizes 1, 13 and 256,
+// unsharded and as the sharded broadcast variant, must produce the same
+// result as a brute-force double loop over the same data. Each
+// configuration pins its algorithm and asserts it in EXPLAIN.
 //
-// Join result order is plan-dependent (which relation wins the start
-// slot is a cost decision), so results are compared as canonically-
-// encoded row sets against the brute-force model. The sharded pledge
-// is stronger: at the same batch size the sharded engine runs the same
-// join order as the unsharded one, so the two are compared positionally,
-// byte for byte — including assigned dist strings, which the metric
-// layer's determinism contract makes bitwise-stable across kernels.
+// Results are compared as canonically-encoded row sets against the
+// brute-force model. The configurations pledge more: every algorithm
+// emits in outer order with inner matches in ascending id, the block
+// size changes no decision and the sharded gather restores the
+// unsharded order, so all configurations are also compared
+// positionally, byte for byte — including assigned dist strings, which
+// the metric layer's determinism contract makes bitwise-stable across
+// kernels.
 
 import (
 	"fmt"
@@ -26,11 +28,40 @@ import (
 	"repro/internal/rewrite"
 )
 
-// joinOraclePair is one unsharded/sharded engine pair over identical
-// rows (ids 0..n-1 assigned in order on both layouts).
-type joinOraclePair struct {
-	plain   *Engine
-	sharded *Engine
+// joinOracle holds the catalogs of one unsharded and one sharded copy
+// of the same rows (ids 0..n-1 assigned in order on both layouts);
+// engines for each configuration are views over them.
+type joinOracle struct {
+	plain, sharded *relation.Catalog
+}
+
+// joinAlgoOp names the EXPLAIN label of each join algorithm.
+var joinAlgoOp = map[string]string{"nl": "NestedLoopJoin(", "index": "IndexJoin(", "partition": "PartitionJoin("}
+
+// runPinned executes a statement (EXPLAIN and EXPLAIN ANALYZE included)
+// with every join step of the planner's decision rewritten to algo
+// before the operator tree is built — the cost model alone almost never
+// picks the index join. algo must be legal for every edge; "" keeps the
+// decided algorithms.
+func runPinned(e *Engine, stmt, algo string) (*Result, error) {
+	q, err := Parse(stmt)
+	if err != nil {
+		return nil, err
+	}
+	d, err := e.decide(q)
+	if err != nil {
+		return nil, err
+	}
+	if algo != "" {
+		for i := range d.steps {
+			d.steps[i].algo = algo
+		}
+	}
+	plan, err := e.buildPlan(q, d)
+	if err != nil {
+		return nil, err
+	}
+	return e.finishPlan(q, plan)
 }
 
 // halvesRules is a symmetric weighted rule set (every op costs 0.5, no
@@ -42,25 +73,40 @@ func halvesRules() *rewrite.RuleSet {
 	})
 }
 
-func newJoinOraclePair(t testing.TB, shards int, rows []relation.InsertRow) *joinOraclePair {
-	t.Helper()
-	mk := func(tab relation.Table) *Engine {
-		cat := relation.NewCatalog()
-		cat.Add(tab)
-		e := NewEngine(cat)
-		if err := e.RegisterRuleSet(rewrite.MustRuleSet("edits", rewrite.UnitEdits(oracleAlphabet).Rules())); err != nil {
-			t.Fatal(err)
-		}
-		if err := e.RegisterRuleSet(halvesRules()); err != nil {
-			t.Fatal(err)
-		}
-		return e
-	}
+// growRules is an asymmetric weighted rule set: 'c' can be inserted
+// and 'a' rewritten to 'b', never the reverse, so d(x, y) != d(y, x)
+// and a nested loop must keep the predicate's operand order.
+func growRules() *rewrite.RuleSet {
+	return rewrite.MustRuleSet("grow", []rewrite.Rule{
+		rewrite.Insert('c', 0.5), rewrite.Subst('a', 'b', 0.5),
+	})
+}
+
+func newJoinOracle(shards int, rows []relation.InsertRow) *joinOracle {
 	plainTab := relation.New("words")
 	plainTab.InsertBatch(rows)
 	shardTab := relation.NewSharded("words", shards)
 	shardTab.InsertBatch(rows)
-	return &joinOraclePair{plain: mk(plainTab), sharded: mk(shardTab)}
+	o := &joinOracle{plain: relation.NewCatalog(), sharded: relation.NewCatalog()}
+	o.plain.Add(plainTab)
+	o.sharded.Add(shardTab)
+	return o
+}
+
+// joinEngine returns an engine over one of the catalogs at the given
+// block size.
+func joinEngine(t testing.TB, cat *relation.Catalog, size int) *Engine {
+	t.Helper()
+	e := NewEngine(cat, WithBatchSize(size))
+	if err := e.RegisterRuleSet(rewrite.MustRuleSet("edits", rewrite.UnitEdits(oracleAlphabet).Rules())); err != nil {
+		t.Fatal(err)
+	}
+	for _, rs := range []*rewrite.RuleSet{halvesRules(), growRules()} {
+		if err := e.RegisterRuleSet(rs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return e
 }
 
 // joinOracleRows builds n rows with short random seqs (dense edit-
@@ -84,33 +130,41 @@ func joinOracleRows(rng *rand.Rand, n int) []relation.InsertRow {
 	return rows
 }
 
-// checkJoin runs stmt on both engines at batch sizes 0 and 256 and
-// asserts (a) plain and sharded agree byte-for-byte at each size and
-// (b) every execution matches the brute-force row set canonically.
-func (p *joinOraclePair) checkJoin(t *testing.T, stmt string, want []string) {
+// checkJoin runs stmt under every listed join algorithm at block sizes
+// 1, 13 and 256 on the unsharded and the sharded catalog, asserting
+// the algorithm in EXPLAIN, canonical identity with the brute-force
+// row set, and positional identity across all configurations.
+func (o *joinOracle) checkJoin(t *testing.T, stmt string, want []string, algos ...string) {
 	t.Helper()
-	for _, batch := range []int{0, 256} {
-		p.plain.SetBatchSize(batch)
-		p.sharded.SetBatchSize(batch)
-		a, err := p.plain.Execute(stmt)
-		if err != nil {
-			t.Fatalf("batch=%d unsharded %q: %v", batch, stmt, err)
-		}
-		b, err := p.sharded.Execute(stmt)
-		if err != nil {
-			t.Fatalf("batch=%d sharded %q: %v", batch, stmt, err)
-		}
-		if positional(a) != positional(b) {
-			t.Fatalf("batch=%d sharded join diverges byte-wise for %q:\nunsharded:\n%s\nsharded:\n%s",
-				batch, stmt, positional(a), positional(b))
-		}
-		wantRes := &Result{}
-		for _, w := range want {
-			wantRes.Rows = append(wantRes.Rows, strings.Split(w, "\x1f"))
-		}
-		if canonical(a) != canonical(wantRes) {
-			t.Fatalf("batch=%d join diverges from oracle for %q:\ngot:\n%s\nwant:\n%s",
-				batch, stmt, canonical(a), canonical(wantRes))
+	wantRes := &Result{}
+	for _, w := range want {
+		wantRes.Rows = append(wantRes.Rows, strings.Split(w, "\x1f"))
+	}
+	var first *Result
+	for _, algo := range algos {
+		for _, size := range []int{1, 13, 256} {
+			for _, cat := range []*relation.Catalog{o.plain, o.sharded} {
+				cfg := fmt.Sprintf("algo=%s batch=%d sharded=%v", algo, size, cat == o.sharded)
+				res, err := runPinned(joinEngine(t, cat, size), stmt, algo)
+				if err != nil {
+					t.Fatalf("%s %q: %v", cfg, stmt, err)
+				}
+				for a, op := range joinAlgoOp {
+					if strings.Contains(res.Plan, op) != (a == algo) {
+						t.Fatalf("%s %q: plan does not run the pinned join:\n%s", cfg, stmt, res.Plan)
+					}
+				}
+				if canonical(res) != canonical(wantRes) {
+					t.Fatalf("%s join diverges from the brute force for %q:\ngot:\n%s\nwant:\n%s",
+						cfg, stmt, canonical(res), canonical(wantRes))
+				}
+				if first == nil {
+					first = res
+				} else if positional(res) != positional(first) {
+					t.Fatalf("%s join diverges byte-wise for %q:\ngot:\n%s\nfirst configuration:\n%s",
+						cfg, stmt, positional(res), positional(first))
+				}
+			}
 		}
 	}
 }
@@ -125,8 +179,12 @@ func TestJoinOracleEdits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	grow, err := editdp.New(growRules())
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, shards := range []int{1, 4} {
-		p := newJoinOraclePair(t, shards, rows)
+		p := newJoinOracle(shards, rows)
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			var want []string
 			for ai, a := range rows {
@@ -138,7 +196,7 @@ func TestJoinOracleEdits(t *testing.T) {
 			}
 			p.checkJoin(t,
 				`SELECT a.id, b.id, dist FROM words a, words b ON dist(a.seq, b.seq) <= 1 USING edits`,
-				want)
+				want, "nl", "index", "partition")
 
 			want = want[:0]
 			for ai, a := range rows {
@@ -156,7 +214,7 @@ func TestJoinOracleEdits(t *testing.T) {
 			}
 			p.checkJoin(t,
 				`SELECT a.id, b.id FROM words a, words b ON dist(a.seq, b.seq) <= 2 USING edits WHERE a.tag = "0" AND a.id != b.id`,
-				want)
+				want, "nl", "index", "partition")
 
 			want = want[:0]
 			for ai, a := range rows {
@@ -171,7 +229,35 @@ func TestJoinOracleEdits(t *testing.T) {
 			}
 			p.checkJoin(t,
 				`SELECT a.id, b.id FROM words a, words b ON dist(a.seq, b.seq) <= 1 USING halves WHERE a.id != b.id`,
-				want)
+				want, "nl")
+
+			// The asymmetric rule set in both operand orders: the probe (the
+			// start relation a) is the field operand, then the target.
+			for _, stmt := range []string{
+				`SELECT a.id, b.id, dist FROM words a, words b ON dist(a.seq, b.seq) <= 1 USING grow WHERE a.id != b.id`,
+				`SELECT a.id, b.id, dist FROM words a, words b ON dist(b.seq, a.seq) <= 1 USING grow WHERE a.id != b.id`,
+			} {
+				probeIsField := strings.Contains(stmt, "dist(a.seq")
+				want = want[:0]
+				for ai, a := range rows {
+					for bi, b := range rows {
+						if ai == bi {
+							continue
+						}
+						x, y := b.Seq, a.Seq
+						if probeIsField {
+							x, y = a.Seq, b.Seq
+						}
+						if d, ok := grow.Within(x, y, 1); ok {
+							want = append(want, fmt.Sprintf("%d\x1f%d\x1f%s", ai, bi, formatDist(d)))
+						}
+					}
+				}
+				if len(want) == 0 {
+					t.Fatalf("%s: the brute force found no pairs; the case checks nothing", stmt)
+				}
+				p.checkJoin(t, stmt, want, "nl")
+			}
 
 			want = want[:0]
 			for ai, a := range rows {
@@ -188,7 +274,7 @@ func TestJoinOracleEdits(t *testing.T) {
 			}
 			p.checkJoin(t,
 				`SELECT a.id, b.id, c.id FROM words a, words b, words c ON dist(a.seq, b.seq) <= 1 USING edits AND dist(b.seq, c.seq) <= 1 USING edits`,
-				want)
+				want, "nl", "index", "partition")
 		})
 	}
 }
@@ -203,12 +289,13 @@ func TestJoinOracleVec(t *testing.T) {
 	cases := []struct {
 		name   string
 		radius float64
+		algos  []string
 	}{
-		{"l2", 0.8},
-		{"cosine", 0.25},
+		{"l2", 0.8, []string{"nl", "index", "partition"}},
+		{"cosine", 0.25, []string{"nl", "partition"}},
 	}
 	for _, shards := range []int{1, 4} {
-		p := newJoinOraclePair(t, shards, rows)
+		p := newJoinOracle(shards, rows)
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			for _, c := range cases {
 				m, ok := metric.Lookup(c.name)
@@ -232,23 +319,22 @@ func TestJoinOracleVec(t *testing.T) {
 				stmt := fmt.Sprintf(
 					`SELECT a.id, b.id, dist FROM words a, words b ON dist(a.vec, b.vec) <= %g USING %s WHERE a.id != b.id`,
 					c.radius, c.name)
-				p.checkJoin(t, stmt, want)
+				p.checkJoin(t, stmt, want, c.algos...)
 			}
 		})
 	}
 }
 
-// TestJoinOracleInterleavedDML hammers join reads on both engines while
-// a single writer per engine applies the same deterministic DML stream,
-// then re-checks full join parity against the brute-force model over
-// the converged table. Under -race this proves the broadcast-inner
-// snapshot capture is data-race free against live mutation.
+// TestJoinOracleInterleavedDML hammers join reads under every join
+// algorithm on both layouts while a single writer per layout applies
+// the same deterministic DML stream, then re-checks full join parity
+// against the brute-force model over the converged table. Under -race
+// this proves the inner-side snapshot capture (and index probing) is
+// data-race free against live mutation.
 func TestJoinOracleInterleavedDML(t *testing.T) {
 	rng := rand.New(rand.NewSource(97))
 	rows := joinOracleRows(rng, 60)
-	p := newJoinOraclePair(t, 4, rows)
-	p.plain.SetBatchSize(256)
-	p.sharded.SetBatchSize(256)
+	p := newJoinOracle(4, rows)
 
 	var stmts []string
 	for i := 0; i < 80; i++ {
@@ -267,25 +353,25 @@ func TestJoinOracleInterleavedDML(t *testing.T) {
 	}
 	var wg sync.WaitGroup
 	errs := make(chan error, 8)
-	for _, eng := range []*Engine{p.plain, p.sharded} {
-		eng := eng
+	for _, cat := range []*relation.Catalog{p.plain, p.sharded} {
+		writer := joinEngine(t, cat, defaultBatchSize)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for _, s := range stmts {
-				if _, err := eng.Execute(s); err != nil {
+				if _, err := writer.Execute(s); err != nil {
 					errs <- fmt.Errorf("%q: %w", s, err)
 					return
 				}
 			}
 		}()
-		for r := 0; r < 2; r++ {
-			r := r
+		for r, algo := range []string{"nl", "index", "partition"} {
+			r, algo, reader := r, algo, joinEngine(t, cat, defaultBatchSize)
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				for i := 0; i < 25; i++ {
-					if _, err := eng.Execute(joins[(r+i)%len(joins)]); err != nil {
+				for i := 0; i < 12; i++ {
+					if _, err := runPinned(reader, joins[(r+i)%len(joins)], algo); err != nil {
 						errs <- err
 						return
 					}
@@ -301,8 +387,8 @@ func TestJoinOracleInterleavedDML(t *testing.T) {
 
 	// Converged: table contents must agree, and a final join must match
 	// the brute force over the surviving rows.
-	plainTab, _ := p.plain.Catalog().Lookup("words")
-	shardTab, _ := p.sharded.Catalog().Lookup("words")
+	plainTab, _ := p.plain.Lookup("words")
+	shardTab, _ := p.sharded.Lookup("words")
 	dump := func(tab relation.Table) string {
 		var b strings.Builder
 		for _, tup := range tab.Tuples() {
@@ -323,5 +409,5 @@ func TestJoinOracleInterleavedDML(t *testing.T) {
 			}
 		}
 	}
-	p.checkJoin(t, joins[0], want)
+	p.checkJoin(t, joins[0], want, "nl", "index", "partition")
 }

@@ -35,10 +35,10 @@
 // statements — the usual cost of growing a SQL grammar.
 //
 // The package contains the lexer, parser, cost-based planner and a
-// Volcano-style executor: queries compile to trees of physical
+// batch-at-a-time executor: queries compile to trees of physical
 // operators (Scan, IndexRange, NearestK, Filter, Project, Limit,
-// OrderByDist, NestedLoopJoin, IndexJoin, Parallel) behind one pull
-// iterator interface. The planner ranks access paths with relation
+// OrderByDist, NestedLoopJoin, IndexJoin, PartitionJoin, Parallel,
+// GatherMerge) behind one pull interface that moves blocks of rows. The planner ranks access paths with relation
 // statistics per the rule-set classification: metric indexes (BK-tree,
 // trie) for the unit edit distance, filter+verify for weighted
 // edit-like sets, and scan with the general search engine otherwise.

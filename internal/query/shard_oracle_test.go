@@ -2,7 +2,7 @@ package query
 
 // The sharding oracle: for randomized datasets, statements and shard
 // counts, a sharded engine must be indistinguishable from (a) the
-// unsharded engine and (b) a brute-force model of the query semantics.
+// unsharded engine and (b) the reference evaluator (reference_test.go).
 //
 // Identity is byte-level. NEAREST results and full-table dumps have an
 // engine-defined total order ((dist, id) and ascending id), so they are
@@ -18,13 +18,10 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"testing"
 
-	"repro/internal/editdp"
-	"repro/internal/index"
 	"repro/internal/relation"
 	"repro/internal/rewrite"
 )
@@ -33,140 +30,75 @@ import (
 // ties) frequent.
 const oracleAlphabet = "abcdefghij"
 
-// oracleRow is the brute-force model's tuple.
-type oracleRow struct {
-	id  int
-	seq string
-	tag string
-}
-
-// oracleDB models the engine's DML semantics exactly: ascending-id
-// application order, updates tombstone + reinsert under fresh ids.
-type oracleDB struct {
-	rows   []oracleRow // ascending id
-	nextID int
-}
-
-func (o *oracleDB) insert(seq, tag string) {
-	o.rows = append(o.rows, oracleRow{id: o.nextID, seq: seq, tag: tag})
-	o.nextID++
-}
-
-func (o *oracleDB) matchWithin(target string, r int) []int {
-	var ids []int
-	for _, row := range o.rows {
-		if _, ok := editdp.LevenshteinWithin(row.seq, target, r); ok {
-			ids = append(ids, row.id)
-		}
-	}
-	return ids
-}
-
-func (o *oracleDB) deleteIDs(ids []int) {
-	dead := map[int]bool{}
-	for _, id := range ids {
-		dead[id] = true
-	}
-	kept := o.rows[:0]
-	for _, row := range o.rows {
-		if !dead[row.id] {
-			kept = append(kept, row)
-		}
-	}
-	o.rows = kept
-}
-
-// updateIDs mirrors execDeleteOrUpdate: matched ids ascending, each
-// update removes the old row and appends the new one under the next
-// fresh id.
-func (o *oracleDB) updateIDs(ids []int, newSeq string) {
-	sort.Ints(ids)
-	for _, id := range ids {
-		var tag string
-		found := false
-		for _, row := range o.rows {
-			if row.id == id {
-				tag, found = row.tag, true
-				break
-			}
-		}
-		if !found {
-			continue
-		}
-		o.deleteIDs([]int{id})
-		o.insert(newSeq, tag)
-	}
-}
-
 // oraclePair is one unsharded/sharded engine pair over the same logical
-// relation plus the brute-force model.
+// relation plus the reference model.
 type oraclePair struct {
 	plain   *Engine
 	sharded *Engine
-	model   *oracleDB
+	model   *refDB
 }
 
 func newOraclePair(t *testing.T, shards int) *oraclePair {
 	t.Helper()
+	rs := rewrite.MustRuleSet("edits", rewrite.UnitEdits(oracleAlphabet).Rules())
 	mk := func(tab relation.Table) *Engine {
 		cat := relation.NewCatalog()
 		cat.Add(tab)
 		e := NewEngine(cat)
-		rs := rewrite.MustRuleSet("edits", rewrite.UnitEdits(oracleAlphabet).Rules())
 		if err := e.RegisterRuleSet(rs); err != nil {
 			t.Fatal(err)
 		}
 		return e
 	}
-	return &oraclePair{
+	p := &oraclePair{
 		plain:   mk(relation.New("words")),
 		sharded: mk(relation.NewSharded("words", shards)),
-		model:   &oracleDB{},
+		model:   newRefDB(rs),
 	}
+	p.model.rel("words")
+	return p
 }
 
-// exec runs one statement on both engines and keeps the model in sync
-// via the apply callback.
-func (p *oraclePair) exec(t *testing.T, stmt string, apply func(*oracleDB)) {
+// exec runs one statement on both engines and the reference model and
+// asserts every engine result is a correct reference answer.
+func (p *oraclePair) exec(t *testing.T, stmt string) (plain, sharded *Result) {
 	t.Helper()
-	a, err := p.plain.Execute(stmt)
+	parsed, err := ParseStatement(stmt)
 	if err != nil {
-		t.Fatalf("unsharded %q: %v", stmt, err)
+		t.Fatalf("%q: %v", stmt, err)
 	}
-	b, err := p.sharded.Execute(stmt)
+	want, err := p.model.run(parsed)
 	if err != nil {
-		t.Fatalf("sharded %q: %v", stmt, err)
+		t.Fatalf("reference %q: %v", stmt, err)
 	}
-	if isDMLText(stmt) && a.Rows[0][0] != b.Rows[0][0] {
-		t.Fatalf("%q: affected-count diverges: %s vs %s", stmt, a.Rows[0][0], b.Rows[0][0])
+	for _, e := range []*Engine{p.plain, p.sharded} {
+		res, err := e.Execute(stmt)
+		if err != nil {
+			t.Fatalf("%q: %v", stmt, err)
+		}
+		if err := want.check(res); err != nil {
+			t.Fatalf("%q diverges from the reference: %v\ngot:\n%s\nreference:\n%s\nplan:\n%s",
+				stmt, err, positional(res), want, res.Plan)
+		}
+		if e == p.plain {
+			plain = res
+		} else {
+			sharded = res
+		}
 	}
-	if apply != nil {
-		apply(p.model)
-	}
+	return plain, sharded
 }
 
 // checkTableParity asserts byte-identical table contents across both
 // engines and the model.
 func (p *oraclePair) checkTableParity(t *testing.T) {
 	t.Helper()
-	dump := func(e *Engine) string {
-		tab, _ := e.Catalog().Lookup("words")
-		var b strings.Builder
-		for _, tup := range tab.Tuples() {
-			fmt.Fprintf(&b, "%d\x1f%s\x1f%s\n", tup.ID, tup.Seq, tup.Attr("tag"))
-		}
-		return b.String()
-	}
-	var mb strings.Builder
-	for _, row := range p.model.rows {
-		fmt.Fprintf(&mb, "%d\x1f%s\x1f%s\n", row.id, row.seq, row.tag)
-	}
-	plain, sharded, model := dump(p.plain), dump(p.sharded), mb.String()
+	plain, sharded, model := engineDump(p.plain, "words"), engineDump(p.sharded, "words"), p.model.rel("words").dump()
 	if plain != sharded {
 		t.Fatalf("table contents diverge:\nunsharded:\n%s\nsharded:\n%s", plain, sharded)
 	}
 	if plain != model {
-		t.Fatalf("engines diverge from oracle:\nengine:\n%s\noracle:\n%s", plain, model)
+		t.Fatalf("engines diverge from the reference:\nengine:\n%s\nreference:\n%s", plain, model)
 	}
 }
 
@@ -199,9 +131,10 @@ func randOracleSeq(rng *rand.Rand) string {
 }
 
 // TestShardOracleParity is the main oracle property test: randomized
-// datasets, queries and DML over shard counts 1, 2, 4 and 7, with the
-// sharded engine checked byte-for-byte against the unsharded engine and
-// the brute-force model after every batch.
+// datasets, queries and DML over shard counts 1, 2, 4 and 7, with both
+// engines checked against the reference model after every statement
+// and the sharded engine checked byte-for-byte against the unsharded
+// one wherever the order is engine-defined.
 func TestShardOracleParity(t *testing.T) {
 	for _, shards := range []int{1, 2, 4, 7} {
 		shards := shards
@@ -209,21 +142,11 @@ func TestShardOracleParity(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(42 + shards)))
 			p := newOraclePair(t, shards)
 
-			// Seed rows.
 			var values []string
-			var applies []func(*oracleDB)
 			for i := 0; i < 150; i++ {
-				seq := randOracleSeq(rng)
-				tag := string(oracleAlphabet[rng.Intn(3)])
-				values = append(values, fmt.Sprintf("(%q, %q)", seq, tag))
-				applies = append(applies, func(o *oracleDB) { o.insert(seq, tag) })
+				values = append(values, fmt.Sprintf("(%q, %q)", randOracleSeq(rng), string(oracleAlphabet[rng.Intn(3)])))
 			}
-			p.exec(t, "INSERT INTO words (seq, tag) VALUES "+strings.Join(values, ", "),
-				func(o *oracleDB) {
-					for _, f := range applies {
-						f(o)
-					}
-				})
+			p.exec(t, "INSERT INTO words (seq, tag) VALUES "+strings.Join(values, ", "))
 			p.checkTableParity(t)
 
 			for gen := 0; gen < 6; gen++ {
@@ -231,131 +154,46 @@ func TestShardOracleParity(t *testing.T) {
 				for i := 0; i < 10; i++ {
 					switch rng.Intn(4) {
 					case 0: // insert
-						seq := randOracleSeq(rng)
-						tag := string(oracleAlphabet[rng.Intn(3)])
-						p.exec(t, fmt.Sprintf("INSERT INTO words (seq, tag) VALUES (%q, %q)", seq, tag),
-							func(o *oracleDB) { o.insert(seq, tag) })
+						p.exec(t, fmt.Sprintf("INSERT INTO words (seq, tag) VALUES (%q, %q)",
+							randOracleSeq(rng), string(oracleAlphabet[rng.Intn(3)])))
 					case 1: // predicate delete (exercises the read plan)
-						target := randOracleSeq(rng)
-						p.exec(t, fmt.Sprintf(`DELETE FROM words WHERE seq SIMILAR TO %q WITHIN 1 USING edits`, target),
-							func(o *oracleDB) { o.deleteIDs(o.matchWithin(target, 1)) })
+						p.exec(t, fmt.Sprintf(`DELETE FROM words WHERE seq SIMILAR TO %q WITHIN 1 USING edits`, randOracleSeq(rng)))
 					case 2: // delete by id
-						if len(p.model.rows) == 0 {
+						rows := p.model.rel("words").rows
+						if len(rows) == 0 {
 							continue
 						}
-						id := p.model.rows[rng.Intn(len(p.model.rows))].id
-						p.exec(t, fmt.Sprintf(`DELETE FROM words WHERE id = "%d"`, id),
-							func(o *oracleDB) { o.deleteIDs([]int{id}) })
+						p.exec(t, fmt.Sprintf(`DELETE FROM words WHERE id = "%d"`, rows[rng.Intn(len(rows))].ID))
 					case 3: // predicate update (fresh-id assignment parity)
-						target := randOracleSeq(rng)
-						repl := randOracleSeq(rng)
-						p.exec(t, fmt.Sprintf(`UPDATE words SET seq = %q WHERE seq SIMILAR TO %q WITHIN 1 USING edits`, repl, target),
-							func(o *oracleDB) { o.updateIDs(o.matchWithin(target, 1), repl) })
+						p.exec(t, fmt.Sprintf(`UPDATE words SET seq = %q WHERE seq SIMILAR TO %q WITHIN 1 USING edits`,
+							randOracleSeq(rng), randOracleSeq(rng)))
 					}
 				}
 				p.checkTableParity(t)
 
-				// WITHIN queries: canonical set identity across both engines
-				// and the brute-force oracle.
+				// WITHIN (set identity), ORDER BY dist (sorted by the
+				// reference's distances) and LIMIT (a subset of the
+				// reference's matches at the right cardinality).
 				for i := 0; i < 4; i++ {
-					target := randOracleSeq(rng)
-					radius := rng.Intn(3)
-					stmt := fmt.Sprintf(`SELECT id, seq, dist FROM words WHERE seq SIMILAR TO %q WITHIN %d USING edits`, target, radius)
-					a, err := p.plain.Execute(stmt)
-					if err != nil {
-						t.Fatal(err)
-					}
-					b, err := p.sharded.Execute(stmt)
-					if err != nil {
-						t.Fatal(err)
-					}
+					stmt := fmt.Sprintf(`SELECT id, seq, dist FROM words WHERE seq SIMILAR TO %q WITHIN %d USING edits`,
+						randOracleSeq(rng), rng.Intn(3))
+					a, b := p.exec(t, stmt)
 					if canonical(a) != canonical(b) {
 						t.Fatalf("WITHIN diverges for %q:\nunsharded:\n%s\nsharded:\n%s", stmt, canonical(a), canonical(b))
 					}
-					var want []string
-					for _, row := range p.model.rows {
-						if d, ok := editdp.LevenshteinWithin(row.seq, target, radius); ok {
-							want = append(want, fmt.Sprintf("%d\x1f%s\x1f%d", row.id, row.seq, d))
-						}
-					}
-					sort.Strings(want)
-					if got := canonical(b); got != strings.Join(want, "\n") {
-						t.Fatalf("WITHIN diverges from oracle for %q:\ngot:\n%s\nwant:\n%s", stmt, got, strings.Join(want, "\n"))
-					}
-
-					// ORDER BY dist: both engines must agree canonically and
-					// emit non-decreasing distances.
-					ores, err := p.sharded.Execute(stmt + " ORDER BY dist")
-					if err != nil {
-						t.Fatal(err)
-					}
-					if canonical(ores) != canonical(b) {
-						t.Fatalf("ORDER BY changed the result set for %q", stmt)
-					}
-					last := -1.0
-					for _, row := range ores.Rows {
-						d, _ := strconv.ParseFloat(row[2], 64)
-						if d < last {
-							t.Fatalf("ORDER BY dist not sorted: %v", ores.Rows)
-						}
-						last = d
-					}
-
-					// LIMIT: a plan-dependent subset, but always a subset of
-					// the oracle's match set at the right cardinality.
-					lim := 1 + rng.Intn(4)
-					lres, err := p.sharded.Execute(fmt.Sprintf("%s LIMIT %d", stmt, lim))
-					if err != nil {
-						t.Fatal(err)
-					}
-					wantN := lim
-					if len(want) < lim {
-						wantN = len(want)
-					}
-					if len(lres.Rows) != wantN {
-						t.Fatalf("LIMIT %d returned %d rows, want %d", lim, len(lres.Rows), wantN)
-					}
-					valid := map[string]bool{}
-					for _, w := range want {
-						valid[w] = true
-					}
-					for _, row := range lres.Rows {
-						if !valid[strings.Join(row, "\x1f")] {
-							t.Fatalf("LIMIT row %v not in oracle match set", row)
-						}
-					}
+					p.exec(t, stmt+" ORDER BY dist")
+					p.exec(t, fmt.Sprintf("%s LIMIT %d", stmt, 1+rng.Intn(4)))
 				}
 
 				// NEAREST: positional byte identity — the (dist, id) order is
-				// engine-defined, so sharded, unsharded and oracle must agree
+				// engine-defined, so sharded, unsharded and reference agree
 				// on every byte including order.
 				for i := 0; i < 4; i++ {
-					target := randOracleSeq(rng)
-					k := 1 + rng.Intn(8)
-					stmt := fmt.Sprintf(`SELECT id, seq, dist FROM words WHERE seq NEAREST %d TO %q USING edits`, k, target)
-					a, err := p.plain.Execute(stmt)
-					if err != nil {
-						t.Fatal(err)
-					}
-					b, err := p.sharded.Execute(stmt)
-					if err != nil {
-						t.Fatal(err)
-					}
+					stmt := fmt.Sprintf(`SELECT id, seq, dist FROM words WHERE seq NEAREST %d TO %q USING edits`,
+						1+rng.Intn(8), randOracleSeq(rng))
+					a, b := p.exec(t, stmt)
 					if positional(a) != positional(b) {
 						t.Fatalf("NEAREST diverges for %q:\nunsharded:\n%s\nsharded:\n%s", stmt, positional(a), positional(b))
-					}
-					var best []index.Match
-					for _, row := range p.model.rows {
-						best = index.PushBestK(best, index.Match{ID: row.id, S: row.seq,
-							Dist: float64(editdp.Levenshtein(row.seq, target))}, k)
-					}
-					want := make([]string, len(best))
-					for i, m := range best {
-						want[i] = fmt.Sprintf("%d\x1f%s\x1f%d", m.ID, m.S, int(m.Dist))
-					}
-					if positional(b) != strings.Join(want, "\n") {
-						t.Fatalf("NEAREST diverges from oracle for %q:\ngot:\n%s\nwant:\n%s",
-							stmt, positional(b), strings.Join(want, "\n"))
 					}
 				}
 			}
@@ -365,7 +203,7 @@ func TestShardOracleParity(t *testing.T) {
 
 // TestShardOracleInterleavedWrites runs the same deterministic write
 // stream through each engine's single writer while concurrent readers
-// hammer snapshot queries, then asserts the engines and the oracle
+// hammer snapshot queries, then asserts the engines and the reference
 // converge to byte-identical state. Under -race this also proves the
 // scatter-gather path is data-race free against live mutation.
 func TestShardOracleInterleavedWrites(t *testing.T) {
@@ -375,27 +213,16 @@ func TestShardOracleInterleavedWrites(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(7 * shards)))
 			p := newOraclePair(t, shards)
 
-			// Deterministic statement stream + oracle applications.
-			type step struct {
-				stmt  string
-				apply func(*oracleDB)
-			}
-			var steps []step
+			// Deterministic statement stream.
+			var steps []string
 			for i := 0; i < 120; i++ {
 				switch rng.Intn(3) {
 				case 0, 1:
-					seq := randOracleSeq(rng)
-					tag := string(oracleAlphabet[rng.Intn(3)])
-					steps = append(steps, step{
-						stmt:  fmt.Sprintf("INSERT INTO words (seq, tag) VALUES (%q, %q)", seq, tag),
-						apply: func(o *oracleDB) { o.insert(seq, tag) },
-					})
+					steps = append(steps, fmt.Sprintf("INSERT INTO words (seq, tag) VALUES (%q, %q)",
+						randOracleSeq(rng), string(oracleAlphabet[rng.Intn(3)])))
 				case 2:
-					target := randOracleSeq(rng)
-					steps = append(steps, step{
-						stmt:  fmt.Sprintf(`DELETE FROM words WHERE seq SIMILAR TO %q WITHIN 1 USING edits`, target),
-						apply: func(o *oracleDB) { o.deleteIDs(o.matchWithin(target, 1)) },
-					})
+					steps = append(steps, fmt.Sprintf(`DELETE FROM words WHERE seq SIMILAR TO %q WITHIN 1 USING edits`,
+						randOracleSeq(rng)))
 				}
 			}
 
@@ -407,8 +234,8 @@ func TestShardOracleInterleavedWrites(t *testing.T) {
 				go func() {
 					defer wg.Done()
 					for _, s := range steps {
-						if _, err := eng.Execute(s.stmt); err != nil {
-							writeErr <- fmt.Errorf("%q: %w", s.stmt, err)
+						if _, err := eng.Execute(s); err != nil {
+							writeErr <- fmt.Errorf("%q: %w", s, err)
 							return
 						}
 					}
@@ -447,9 +274,18 @@ func TestShardOracleInterleavedWrites(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, s := range steps {
-				s.apply(p.model)
+				stmt, err := ParseStatement(s)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := p.model.run(stmt); err != nil {
+					t.Fatalf("reference %q: %v", s, err)
+				}
 			}
 			p.checkTableParity(t)
+			for _, q := range queries {
+				p.exec(t, q)
+			}
 		})
 	}
 }

@@ -2,15 +2,15 @@ package query
 
 // Per-operator runtime tracing for EXPLAIN ANALYZE and the slow-query
 // log. When execCtx.traced is set, the planner wraps every operator it
-// constructs in a span wrapper (tr for row operators, trB for batch
-// operators) that times Open/Next/Close inclusively and counts emitted
-// rows. After the plan runs, extractTrace walks the wrapped tree and
-// assembles an obs.Span tree mirroring the physical plan, with each
-// operator's planner estimate next to its observed actuals.
+// constructs in a span wrapper (trB) that times OpenBatch/NextBatch/
+// CloseBatch inclusively and counts emitted rows and blocks. After the
+// plan runs, extractTrace walks the wrapped tree and assembles an
+// obs.Span tree mirroring the physical plan, with each operator's
+// planner estimate next to its observed actuals.
 //
-// Tracing off is the common case, so tr/trB return the operator
+// Tracing off is the common case, so trB returns the operator
 // unchanged when the context is untraced: the pipeline layout, the
-// per-row call chain and the allocation profile of an untraced query
+// per-block call chain and the allocation profile of an untraced query
 // are byte-for-byte those of a build without this file.
 
 import (
@@ -33,18 +33,10 @@ type instanced interface{ executedInstances() []any }
 // per-shard drain timings when traced.
 type shardTimer interface{ shardTimings() []obs.ShardTiming }
 
-// tr wraps a row operator in a span recorder when the context is
-// traced; est is the planner's cardinality estimate (-1 = no estimate)
-// and kernel names the distance kernel the operator dispatches to ("" =
+// trB wraps an operator in a span recorder when the context is traced;
+// est is the planner's cardinality estimate (-1 = no estimate) and
+// kernel names the distance kernel the operator dispatches to ("" =
 // none).
-func tr(c *execCtx, op Operator, est float64, kernel string) Operator {
-	if !c.traced {
-		return op
-	}
-	return &spanOp{inner: op, est: est, kernel: kernel}
-}
-
-// trB is tr for batch operators.
 func trB(c *execCtx, op BatchOperator, est float64, kernel string) BatchOperator {
 	if !c.traced {
 		return op
@@ -52,57 +44,10 @@ func trB(c *execCtx, op BatchOperator, est float64, kernel string) BatchOperator
 	return &batchSpanOp{inner: op, est: est, kernel: kernel}
 }
 
-// spanOp decorates a row operator with inclusive wall-time and row
-// accounting. It is transparent to EXPLAIN rendering: Describe and
-// Children delegate to the wrapped operator, whose children are
+// batchSpanOp decorates an operator with inclusive wall-time, row and
+// block accounting. It is transparent to EXPLAIN rendering: Describe
+// and childNodes delegate to the wrapped operator, whose children are
 // themselves span-wrapped, so the rendered tree is unchanged.
-type spanOp struct {
-	inner  Operator
-	est    float64
-	kernel string
-
-	rows   int64
-	wallNS int64
-}
-
-func (o *spanOp) Open() error {
-	start := time.Now()
-	err := o.inner.Open()
-	o.wallNS += time.Since(start).Nanoseconds()
-	return err
-}
-
-func (o *spanOp) Next() (*binding, error) {
-	start := time.Now()
-	b, err := o.inner.Next()
-	o.wallNS += time.Since(start).Nanoseconds()
-	if b != nil {
-		o.rows++
-	}
-	return b, err
-}
-
-func (o *spanOp) Close() error {
-	start := time.Now()
-	err := o.inner.Close()
-	o.wallNS += time.Since(start).Nanoseconds()
-	return err
-}
-
-func (o *spanOp) Describe() string     { return o.inner.Describe() }
-func (o *spanOp) Children() []Operator { return o.inner.Children() }
-
-// recycle forwards a consumer's rejected binding to the wrapped
-// operator (a filter above a traced scan must still reach the scan's
-// recycler, or tracing would silently change the allocation profile).
-func (o *spanOp) recycle(b *binding) {
-	if r, ok := o.inner.(recycler); ok {
-		r.recycle(b)
-	}
-}
-
-// batchSpanOp is spanOp for the batch pipeline; rows accumulate by
-// block length and Batches counts the blocks.
 type batchSpanOp struct {
 	inner  BatchOperator
 	est    float64
@@ -142,18 +87,14 @@ func (o *batchSpanOp) Describe() string  { return o.inner.Describe() }
 func (o *batchSpanOp) childNodes() []any { return o.inner.childNodes() }
 
 // extractSpan converts one node of an executed, traced operator tree
-// into its span. Unwrapped nodes (adapters, pseudo-roots, fan-out
-// internals) get a label-only span so the trace never loses tree
+// into its span. Unwrapped nodes (pseudo-roots, fan-out internals) get
+// a label-only span so the trace never loses tree
 // structure.
 func extractSpan(node any) *obs.Span {
-	switch n := node.(type) {
-	case *spanOp:
-		return spanFrom(n.inner, n.est, n.kernel, n.rows, 0, n.wallNS)
-	case *batchSpanOp:
+	if n, ok := node.(*batchSpanOp); ok {
 		return spanFrom(n.inner, n.est, n.kernel, n.rows, n.batches, n.wallNS)
-	default:
-		return spanFrom(node, -1, "", 0, 0, 0)
 	}
+	return spanFrom(node, -1, "", 0, 0, 0)
 }
 
 // spanFrom assembles the span for an unwrapped operator: label, work
@@ -228,17 +169,9 @@ func mergeSpanTrees(s, o *obs.Span) {
 // ANALYZE point directly at the selectivity formula a later PR can
 // recalibrate from observed spans.
 
-// estOf reads the planner estimate recorded on a wrapped operator (-1
-// when the operator is unwrapped or carries no estimate), letting
+// estOfBatch reads the planner estimate recorded on a wrapped operator
+// (-1 when the operator is unwrapped or carries no estimate), letting
 // decorators inherit their child's estimate without extra plumbing.
-func estOf(op Operator) float64 {
-	if s, ok := op.(*spanOp); ok {
-		return s.est
-	}
-	return -1
-}
-
-// estOfBatch is estOf for batch operators.
 func estOfBatch(op BatchOperator) float64 {
 	if s, ok := op.(*batchSpanOp); ok {
 		return s.est
@@ -328,27 +261,20 @@ func shardStats(st relation.Stats, n int) relation.Stats {
 }
 
 // extractTrace assembles the span tree of an executed traced plan; nil
-// when the plan was not traced. Vectorized plans root the trace at the
-// Vectorize pseudo-node with the top operator's totals lifted onto it,
-// matching EXPLAIN's rendering of the same tree.
+// when the plan was not traced. The trace is rooted at the Vectorize
+// pseudo-node with the top operator's totals lifted onto it, matching
+// EXPLAIN's rendering of the same tree.
 func (p *compiledPlan) extractTrace() *obs.Span {
 	if p.ctx == nil || !p.ctx.traced {
 		return nil
 	}
-	if p.broot != nil {
-		child := extractSpan(p.broot)
-		root := &obs.Span{
-			Op:       (&vectorizeNode{child: p.broot, size: p.batchSize, kernel: p.kernel}).Describe(),
-			EstRows:  -1,
-			Rows:     child.Rows,
-			Batches:  child.Batches,
-			WallNS:   child.WallNS,
-			Children: []*obs.Span{child},
-		}
-		return root
+	child := extractSpan(p.broot)
+	return &obs.Span{
+		Op:       (&vectorizeNode{child: p.broot, size: p.batchSize, kernel: p.kernel}).Describe(),
+		EstRows:  -1,
+		Rows:     child.Rows,
+		Batches:  child.Batches,
+		WallNS:   child.WallNS,
+		Children: []*obs.Span{child},
 	}
-	if p.root == nil {
-		return nil
-	}
-	return extractSpan(p.root)
 }

@@ -170,9 +170,10 @@ type (
 	// (Engine.CacheStats).
 	QueryCacheStats = query.CacheStats
 	// EngineOption configures a QueryEngine at construction:
-	// NewQueryEngine(cat, WithBatchSize(0), WithTracing(true)). The
+	// NewQueryEngine(cat, WithBatchSize(64), WithTracing(true)). The
 	// Engine.Set* methods remain as thin runtime wrappers for knobs
-	// that change after construction.
+	// that change after construction; the block size is fixed at
+	// construction.
 	EngineOption = query.Option
 )
 
@@ -188,8 +189,9 @@ var (
 	NewQueryEngine = query.NewEngine
 	// ParseQuery parses one statement without executing it.
 	ParseQuery = query.Parse
-	// WithBatchSize sets the vectorized block size (<= 0 disables
-	// vectorization and every plan runs row-at-a-time).
+	// WithBatchSize sets the execution block size, the rows each
+	// operator moves per call (default 256; < 1 clamps to 1). Results
+	// are identical at every size.
 	WithBatchSize = query.WithBatchSize
 	// WithParallelism sets the worker count for parallel plans.
 	WithParallelism = query.WithParallelism

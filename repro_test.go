@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -95,8 +96,8 @@ func TestFacadeQueryLanguage(t *testing.T) {
 }
 
 // TestFacadeEngineOptions pins the functional-option construction
-// surface and runs a distance join through a facade-built engine in
-// both execution modes.
+// surface and runs a distance join through facade-built engines at the
+// smallest and the default block size.
 func TestFacadeEngineOptions(t *testing.T) {
 	cat := NewCatalog()
 	words := NewRelation("words")
@@ -109,18 +110,18 @@ func TestFacadeEngineOptions(t *testing.T) {
 	if err := eng.RegisterRuleSet(MustRuleSet("edits", UnitEdits("abcdefghijklmnopqrstuvwxyz").Rules())); err != nil {
 		t.Fatal(err)
 	}
-	if eng.BatchSize() != 0 {
-		t.Errorf("WithBatchSize(0): BatchSize() = %d", eng.BatchSize())
+	if eng.BatchSize() != 1 {
+		t.Errorf("WithBatchSize(0): BatchSize() = %d, want the clamp to 1", eng.BatchSize())
 	}
 	join := `SELECT a.seq, b.seq FROM words a, words b ON dist(a.seq, b.seq) <= 1 USING edits WHERE a.id != b.id`
-	row, err := eng.Execute(join)
+	small, err := eng.Execute(join)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(row.Rows) != 6 { // color↔{colour,colon,dolor}, both directions
-		t.Errorf("row-mode join rows = %v", row.Rows)
+	if len(small.Rows) != 6 { // color↔{colour,colon,dolor}, both directions
+		t.Errorf("block-size-1 join rows = %v", small.Rows)
 	}
-	if row.Trace == nil {
+	if small.Trace == nil {
 		t.Error("WithTracing(true): no span tree on the result")
 	}
 	batched := NewQueryEngine(cat, WithBatchSize(256))
@@ -131,8 +132,8 @@ func TestFacadeEngineOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(batch.Rows) != len(row.Rows) {
-		t.Errorf("batch-mode join rows = %v, row-mode = %v", batch.Rows, row.Rows)
+	if fmt.Sprint(batch.Rows) != fmt.Sprint(small.Rows) {
+		t.Errorf("block-size-256 join rows = %v, block-size-1 = %v", batch.Rows, small.Rows)
 	}
 }
 
