@@ -297,6 +297,35 @@ func TestNearestNonPositiveKRejected(t *testing.T) {
 	}
 }
 
+// TestStringNearestRequiresSeq: both string NEAREST access paths rank
+// the seq column, so NEAREST over any other field is an error at every
+// block size and in the reference, in queries, DML and prepared
+// statements alike, instead of a silent ranking of seq.
+func TestStringNearestRequiresSeq(t *testing.T) {
+	engines, model := fuzzParityEngines()
+	for _, src := range []string{
+		`SELECT * FROM words WHERE tag NEAREST 3 TO "abcd" USING edits`,
+		`SELECT seq, dist FROM words WHERE words.tag NEAREST 1 TO "a" USING edits`,
+		`DELETE FROM words WHERE tag NEAREST 2 TO "abcd" USING edits`,
+	} {
+		for _, e := range engines {
+			if _, err := e.Execute(src); err == nil || !strings.Contains(err.Error(), "ranks the seq column") {
+				t.Errorf("%s: err = %v, want a seq-column error", src, err)
+			}
+		}
+		stmt, err := ParseStatement(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := model.run(stmt); err == nil {
+			t.Errorf("%s: the reference ranked a non-seq field", src)
+		}
+	}
+	if _, err := engines[0].Prepare(`SELECT * FROM words WHERE tag NEAREST 2 TO ? USING edits`); err == nil {
+		t.Error("prepared non-seq NEAREST accepted")
+	}
+}
+
 // TestThreeWayJoin verifies an N-way join against hand-computed pairs:
 // chain a-b-c where consecutive relations hold words at distance 1.
 func TestThreeWayJoin(t *testing.T) {

@@ -605,6 +605,11 @@ func (e *Engine) validateExpr(ex Expr) error {
 		if isVecNearest(&ex) {
 			return validateVecNearest(&ex)
 		}
+		// Both string NEAREST access paths (BK-tree and scan) rank the
+		// seq column; any other field would be silently ignored.
+		if ex.Field.Name != "seq" {
+			return fmt.Errorf("query: string NEAREST ranks the seq column, not %q", ex.Field.Name)
+		}
 		_, err := e.ruleset(ex.RuleSet)
 		return err
 	default:

@@ -309,6 +309,9 @@ func (db *refDB) nearest(ne NearestExpr, alias string, r *refRel) ([]*refBinding
 			}
 			d = m.Dist(ne.Target.Vec, t.Vec)
 		} else {
+			if ne.Field.Name != "seq" {
+				return nil, fmt.Errorf("reference: string NEAREST ranks seq, not %q", ne.Field.Name)
+			}
 			c, err := db.calc(ne.RuleSet)
 			if err != nil {
 				return nil, err

@@ -24,14 +24,16 @@ type Rect struct {
 	Min, Max []float64
 }
 
-// NewRect validates lo <= hi in every dimension.
+// NewRect validates lo <= hi in every dimension. A NaN bound fails the
+// check: it would compare false against every point and so contain
+// them all.
 func NewRect(lo, hi []float64) (Rect, error) {
 	if len(lo) != len(hi) {
 		return Rect{}, fmt.Errorf("rtree: dim mismatch %d vs %d", len(lo), len(hi))
 	}
 	for i := range lo {
-		if lo[i] > hi[i] {
-			return Rect{}, fmt.Errorf("rtree: min %g > max %g in dim %d", lo[i], hi[i], i)
+		if !(lo[i] <= hi[i]) {
+			return Rect{}, fmt.Errorf("rtree: min %g not <= max %g in dim %d", lo[i], hi[i], i)
 		}
 	}
 	return Rect{Min: lo, Max: hi}, nil
@@ -109,15 +111,20 @@ func (r Rect) Margin() float64 {
 // Enlarged returns the minimum rectangle covering r and o.
 func (r Rect) Enlarged(o Rect) Rect {
 	out := r.Copy()
-	for i := range out.Min {
-		if o.Min[i] < out.Min[i] {
-			out.Min[i] = o.Min[i]
+	out.grow(o.Min, o.Max)
+	return out
+}
+
+// grow enlarges r in place to cover the rectangle [lo, hi].
+func (r Rect) grow(lo, hi []float64) {
+	for i := range r.Min {
+		if lo[i] < r.Min[i] {
+			r.Min[i] = lo[i]
 		}
-		if o.Max[i] > out.Max[i] {
-			out.Max[i] = o.Max[i]
+		if hi[i] > r.Max[i] {
+			r.Max[i] = hi[i]
 		}
 	}
-	return out
 }
 
 // Enlargement returns the area increase of covering o as well.

@@ -1,6 +1,7 @@
 package rtree
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"sort"
@@ -260,6 +261,9 @@ func TestNewRectValidation(t *testing.T) {
 	if _, err := NewRect([]float64{0, 0}, []float64{1}); err == nil {
 		t.Error("dim mismatch accepted")
 	}
+	if _, err := NewRect([]float64{0, math.NaN()}, []float64{1, 1}); err == nil {
+		t.Error("NaN bound accepted")
+	}
 }
 
 func TestRectOps(t *testing.T) {
@@ -350,5 +354,30 @@ func TestDuplicatePoints(t *testing.T) {
 	}
 	if err := tr.checkInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestNonFiniteRejected: a NaN coordinate compares false against every
+// bound, so Rect.Contains would place it inside every query; Insert
+// rejects NaN and infinities with ErrNonFinite and leaves the tree as
+// it was.
+func TestNonFiniteRejected(t *testing.T) {
+	tr, _ := New(2, 4)
+	if err := tr.Insert(0, []float64{1, 1}); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range [][]float64{
+		{math.NaN(), 0}, {0, math.Inf(1)}, {math.Inf(-1), math.NaN()},
+	} {
+		if err := tr.Insert(1, p); !errors.Is(err, ErrNonFinite) {
+			t.Errorf("Insert(%v): err = %v, want ErrNonFinite", p, err)
+		}
+	}
+	if tr.Len() != 1 {
+		t.Fatalf("Len = %d after rejected inserts, want 1", tr.Len())
+	}
+	q, _ := NewRect([]float64{5, 5}, []float64{6, 6})
+	if got, _, _ := tr.Search(q); len(got) != 0 {
+		t.Errorf("disjoint query found %v", got)
 	}
 }

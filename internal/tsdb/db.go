@@ -59,22 +59,21 @@ func (db *DB) Coeffs(id int) ([]complex128, error) {
 	return db.coeffs[id], nil
 }
 
-// Add inserts a series and returns its id. Series must be non-constant
-// and of equal length.
+// Add inserts a series and returns its id. Series must be finite,
+// non-constant and of equal length; the first series accepted fixes the
+// length.
 func (db *DB) Add(s []float64) (int, error) {
-	if db.n == 0 {
-		if 2*db.k >= len(s) {
-			return 0, fmt.Errorf("tsdb: series length %d too short for k=%d", len(s), db.k)
-		}
-		db.n = len(s)
+	if db.n == 0 && 2*db.k >= len(s) {
+		return 0, fmt.Errorf("tsdb: series length %d too short for k=%d", len(s), db.k)
 	}
-	if len(s) != db.n {
+	if db.n != 0 && len(s) != db.n {
 		return 0, fmt.Errorf("tsdb: series length %d, want %d", len(s), db.n)
 	}
 	feat, X, mean, std, err := FeaturePoint(s, db.k)
 	if err != nil {
 		return 0, err
 	}
+	db.n = len(s)
 	cp := make([]float64, len(s))
 	copy(cp, s)
 	id := len(db.raw)
@@ -131,6 +130,16 @@ type Match struct {
 type Stats struct {
 	NodeAccesses int
 	Candidates   int // entries that reached exact verification
+}
+
+// checkRadius rejects a NaN or negative query radius. exactDist bounds
+// the squared distance by eps², so a negative radius would act as its
+// absolute value in a scan while the index search rectangle is empty.
+func checkRadius(eps float64) error {
+	if !(eps >= 0) {
+		return fmt.Errorf("tsdb: radius %g is not a non-negative number", eps)
+	}
+	return nil
 }
 
 // queryFeatures prepares the query's coefficient vector and feature
@@ -197,6 +206,9 @@ func (db *DB) fullDist(id int, t *Transform, q []complex128) float64 {
 // dismissals).
 func (db *DB) RangeIndex(q []float64, t *Transform, eps float64) ([]Match, Stats, error) {
 	var st Stats
+	if err := checkRadius(eps); err != nil {
+		return nil, st, err
+	}
 	if err := db.ensureTree(); err != nil {
 		return nil, st, err
 	}
@@ -235,6 +247,9 @@ func (db *DB) RangeIndex(q []float64, t *Transform, eps float64) ([]Match, Stats
 // distance computation as soon as it exceeds eps).
 func (db *DB) RangeScan(q []float64, t *Transform, eps float64) ([]Match, Stats, error) {
 	var st Stats
+	if err := checkRadius(eps); err != nil {
+		return nil, st, err
+	}
 	_, qX, err := db.queryFeatures(q)
 	if err != nil {
 		return nil, st, err
@@ -291,6 +306,9 @@ type Pair struct {
 // (which is why its answer set differs).
 func (db *DB) SelfJoin(method JoinMethod, t *Transform, eps float64) ([]Pair, Stats, error) {
 	var st Stats
+	if err := checkRadius(eps); err != nil {
+		return nil, st, err
+	}
 	switch method {
 	case JoinScanFull, JoinScanAbort:
 		abort := method == JoinScanAbort

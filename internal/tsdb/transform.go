@@ -1,6 +1,7 @@
 package tsdb
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/cmplx"
@@ -148,13 +149,26 @@ func (t *Transform) PolarAffine(k int) (*rtree.Affine, error) {
 // splits and destroy pruning, so this implementation keeps mean/std as
 // tuple attributes instead — a documented substitution that preserves
 // the answer semantics of every reproduced experiment.
+//
+// A series with a NaN or infinite value, or whose mean or standard
+// deviation overflows, is rejected with ErrNonFinite: its features
+// would be NaN, which every index rectangle contains and every distance
+// bound fails to exclude.
 func FeaturePoint(s []float64, k int) (point []float64, coeffs []complex128, mean, std float64, err error) {
 	if 2*k >= len(s) {
 		return nil, nil, 0, 0, fmt.Errorf("tsdb: k=%d too large for series of length %d", k, len(s))
 	}
+	for i, v := range s {
+		if !finite(v) {
+			return nil, nil, 0, 0, fmt.Errorf("%w: %g at position %d", ErrNonFinite, v, i)
+		}
+	}
 	norm, mean, std, err := NormalForm(s)
 	if err != nil {
 		return nil, nil, 0, 0, err
+	}
+	if !finite(mean) || !finite(std) {
+		return nil, nil, 0, 0, fmt.Errorf("%w: mean %g, standard deviation %g", ErrNonFinite, mean, std)
 	}
 	X := dft.TransformReal(norm)
 	p := make([]float64, 2*k)
@@ -164,6 +178,12 @@ func FeaturePoint(s []float64, k int) (point []float64, coeffs []complex128, mea
 	}
 	return p, X, mean, std, nil
 }
+
+// ErrNonFinite reports a series that contains, or whose statistics
+// reach, a NaN or infinite value.
+var ErrNonFinite = errors.New("tsdb: non-finite series")
+
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 // SearchRect builds the minimum bounding rectangle of the ε-ball around
 // the query's feature point in the polar coordinate system (Figure 7 of

@@ -1,6 +1,7 @@
 package tsdb
 
 import (
+	"errors"
 	"math"
 	"math/cmplx"
 	"math/rand"
@@ -427,6 +428,70 @@ func TestDBErrors(t *testing.T) {
 	}
 	if _, _, err := db.SelfJoin(JoinMethod(42), nil, 1); err == nil {
 		t.Error("unknown join method accepted")
+	}
+}
+
+// TestNonFiniteRejected: a NaN or infinite value anywhere in a stored
+// or query series is an ErrNonFinite error, never a feature point (a
+// NaN feature sits inside every index rectangle and passes every
+// early-abort bound, so such a series used to answer every query at
+// distance NaN).
+func TestNonFiniteRejected(t *testing.T) {
+	good := stock.Walk(rand.New(rand.NewSource(1)), 32)
+	poison := func(v float64, at int) []float64 {
+		s := append([]float64(nil), good...)
+		s[at] = v
+		return s
+	}
+	bad := map[string][]float64{
+		"nan":      poison(math.NaN(), 5),
+		"+inf":     poison(math.Inf(1), 0),
+		"-inf":     poison(math.Inf(-1), 31),
+		"overflow": poison(math.MaxFloat64, 3), // the variance overflows
+	}
+	db, _ := New(2)
+	for name, s := range bad {
+		if _, err := db.Add(s); !errors.Is(err, ErrNonFinite) {
+			t.Errorf("Add(%s): err = %v, want ErrNonFinite", name, err)
+		}
+		if _, _, _, _, err := FeaturePoint(s, 2); !errors.Is(err, ErrNonFinite) {
+			t.Errorf("FeaturePoint(%s): err = %v, want ErrNonFinite", name, err)
+		}
+	}
+	if db.Len() != 0 || db.SeriesLen() != 0 {
+		t.Fatalf("rejected series left Len %d, SeriesLen %d", db.Len(), db.SeriesLen())
+	}
+	for i := int64(0); i < 20; i++ {
+		if _, err := db.Add(stock.Walk(rand.New(rand.NewSource(i)), 32)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for name, q := range bad {
+		if _, _, err := db.RangeIndex(q, nil, 1); !errors.Is(err, ErrNonFinite) {
+			t.Errorf("RangeIndex(%s): err = %v, want ErrNonFinite", name, err)
+		}
+		if _, _, err := db.RangeScan(q, nil, 1); !errors.Is(err, ErrNonFinite) {
+			t.Errorf("RangeScan(%s): err = %v, want ErrNonFinite", name, err)
+		}
+	}
+}
+
+// TestBadRadiusRejected: a NaN or negative radius is an error on every
+// query path (a negative one used to answer like its absolute value in
+// a scan and fail in the index).
+func TestBadRadiusRejected(t *testing.T) {
+	db := buildDB(t, 3, 30, 32, 2)
+	q, _ := db.Series(0)
+	for _, eps := range []float64{math.NaN(), -1} {
+		if _, _, err := db.RangeIndex(q, nil, eps); err == nil {
+			t.Errorf("RangeIndex eps=%g accepted", eps)
+		}
+		if _, _, err := db.RangeScan(q, nil, eps); err == nil {
+			t.Errorf("RangeScan eps=%g accepted", eps)
+		}
+		if _, _, err := db.SelfJoin(JoinIndexT, nil, eps); err == nil {
+			t.Errorf("SelfJoin eps=%g accepted", eps)
+		}
 	}
 }
 
